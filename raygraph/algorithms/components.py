@@ -17,11 +17,8 @@ Per round, each step maps to a distributed primitive:
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
-from raygraph import checkpoint as ck
 from raygraph.engine import gather_by_id, scatter_min_by_id, spmv_with_mask
 
 
@@ -33,30 +30,22 @@ def connected_components(
     resume: bool = True,
     mode: str = "fused",  # "fused" (production: refs-only raw-task BSP) | "dataset" (cross-check)
 ) -> tuple[list[np.ndarray], dict]:
-    """Returns (parent slices f with f[v]=component min id, info dict)."""
+    """Returns (parent slices f with f[v]=component min id, info dict).
+
+    ``mode="dataset"`` runs the Dataset-primitive round below — the
+    parity reference for ``fused.cc_fused``; only the fused path
+    checkpoints."""
     if mode == "fused":
         from raygraph.fused import cc_fused
 
         return cc_fused(graph, itermax=itermax, ckpt_dir=ckpt_dir, resume=resume)
+    if ckpt_dir is not None:
+        raise ValueError("connected_components: checkpoints need mode='fused'")
     ids = graph.ids_slices()
     f = [i.copy() for i in ids]
     gp = [i.copy() for i in ids]
-    it0 = 0
-    if ckpt_dir is not None:
-        ck.save_graph(graph, ckpt_dir)
-        if resume:
-            last = ck.latest_iter(ckpt_dir)
-            if last is not None:
-                state, lineage = ck.read_iter(ckpt_dir, last, graph)
-                f = [np.asarray(s, np.uint64) for s in state["f"]]
-                gp = [np.asarray(s, np.uint64) for s in state["gp"]]
-                it0 = last + 1
-                if lineage.get("converged"):
-                    return f, {"iters": last + 1, "resumed": True}
-
-    it = it0 - 1
-    for it in range(it0, itermax):
-        t0 = time.perf_counter()
+    it = -1
+    for it in range(itermax):
         mngp, mask = spmv_with_mask(graph, gp, "min_second", out_dtype=np.uint64)
         # hooking reduce-assign: f[f[v]] <- min(mngp[v]) over masked v
         tgt = [fi[mi] for fi, mi in zip(f, mask)]
@@ -68,21 +57,6 @@ def connected_components(
         gp_new = gather_by_id(graph, f, f)  # pointer jumping: gp = f[f]
         changed = any(bool((a != b).any()) for a, b in zip(gp_new, gp))
         gp = gp_new
-        if ckpt_dir is not None:
-            ck.write_iter(
-                ckpt_dir,
-                it,
-                graph,
-                {"f": f, "gp": gp},
-                {
-                    "iter": it,
-                    "residual": float(changed),
-                    "converged": not changed,
-                    "edges_traversed": graph.nnz,
-                    "wall_s": time.perf_counter() - t0,
-                    "algorithm": "fastsv",
-                },
-            )
         if not changed:
             break
     return f, {"iters": it + 1, "edges_traversed": (it + 1) * graph.nnz}

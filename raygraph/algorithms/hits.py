@@ -11,20 +11,18 @@ the per-partition layout (hash partition by id, ids sorted in-partition)
 is a function of the id set alone, so their dense state slices are
 interchangeable (asserted).
 
-Distributed shape: same task-wave structure as pagerank_fused — per
-live partition one scatter task emitting P positional packets, per
-partition one reduce task (single deterministic bincount). L1
-normalization needs one global scalar per half-step; the divide is
-FOLDED into the next scatter (x·(1/s) inside the task) so no extra
-task wave ever touches the state. The driver holds only object refs
-and 2 scalars per iteration.
+Each half-step is one ``fused.push_sum``. L1 normalization needs one
+global scalar per half-step (the reduce's per-partition sums); the
+divide is FOLDED into the next scatter (x·(1/s) inside the task) so no
+extra task wave ever touches the state. The driver holds only object
+refs and 2 scalars per iteration.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from raygraph.fused import block_cache
+from raygraph.fused import block_cache, check_layout, push_sum
 
 
 def hits_fused(g, gT, *, itermax: int = 8):
@@ -32,70 +30,22 @@ def hits_fused(g, gT, *, itermax: int = 8):
     ``g``'s layout, each L1-normalized over its final raw iterate."""
     import ray
 
-    P = g.num_parts
-    if gT.num_parts != P or gT.n_vertices != g.n_vertices or not np.array_equal(
-            np.asarray(g.sizes), np.asarray(gT.sizes)):
-        raise ValueError("hits_fused: g and gT must share vertex universe, "
-                         "num_parts and layout")
-    sizes = [int(s) for s in g.sizes]
-    n = g.n_vertices
-    if n == 0:
+    check_layout(g, gT, "hits_fused")
+    if g.n_vertices == 0:
         return [], []
+    sizes = [int(s) for s in g.sizes]
     cacheA, cacheT = block_cache(g), block_cache(gT)
 
-    def _scatter_body(blk, x_p, inv_s):
-        w = x_p * inv_s
-        xv = np.repeat(w[blk["src_pos"]], blk["counts"])  # edge order
-        valp = xv[blk["perm"]]
-        out = [None] * P
-        for q, s0, e0, starts_rel, out_pos in blk["segs"]:
-            out[q] = (out_pos, np.add.reduceat(valp[s0:e0], starts_rel))
-        return out
-
-    if P > 1:
-        scatter = ray.remote(num_returns=P)(
-            lambda blk, x_p, inv_s: tuple(_scatter_body(blk, x_p, inv_s)))
-    else:
-        scatter = ray.remote(
-            lambda blk, x_p, inv_s: _scatter_body(blk, x_p, inv_s)[0])
-
-    def _reduce_body(size, *packets):
-        live_pk = [pk for pk in packets if pk is not None]
-        if live_pk:
-            pos = np.concatenate([pk[0] for pk in live_pk])
-            val = np.concatenate([pk[1] for pk in live_pk])
-            dense = np.bincount(pos, weights=val, minlength=size)
-        else:
-            dense = np.zeros(size, np.float64)
-        return dense, float(dense.sum())
-
-    reduce_t = ray.remote(num_returns=2)(_reduce_body)
-
     def half_step(cache, x_refs, inv_s):
-        pk = [[None] * P for _ in range(P)]
-        for p in range(P):
-            if cache[p] is None:
-                continue
-            outs = scatter.remote(cache[p], x_refs[p], inv_s)
-            if P == 1:
-                outs = [outs]
-            for q in range(P):
-                pk[q][p] = outs[q]
-        y_refs, s_refs = [], []
-        for q in range(P):
-            dr, sr = reduce_t.remote(sizes[q], *pk[q])
-            y_refs.append(dr)
-            s_refs.append(sr)
+        y_refs, s_refs = push_sum(cache, sizes, x_refs, inv_s)
         s = float(sum(ray.get(s_refs)))
-        return y_refs, s
+        return y_refs, 1.0 / s if s > 0 else 0.0
 
     h_refs = [ray.put(np.ones(s, np.float64)) for s in sizes]
     a_refs, inv_h, inv_a = h_refs, 1.0, 0.0
     for _ in range(itermax):
-        a_refs, sa = half_step(cacheA, h_refs, inv_h)
-        inv_a = 1.0 / sa if sa > 0 else 0.0
-        h_refs, sh = half_step(cacheT, a_refs, inv_a)
-        inv_h = 1.0 / sh if sh > 0 else 0.0
+        a_refs, inv_a = half_step(cacheA, h_refs, inv_h)
+        h_refs, inv_h = half_step(cacheT, a_refs, inv_a)
     hub = [x * inv_h for x in ray.get(h_refs)]
     auth = [x * inv_a for x in ray.get(a_refs)]
     return hub, auth

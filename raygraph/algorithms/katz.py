@@ -6,22 +6,18 @@ Reference-ecosystem counterpart: graphblas-algorithms
 scatter pushes x[src] along src→dst edges, i.e. y = Aᵀx, so
 centrality accrues from IN-edges exactly as in the reference.
 
-Distributed shape (the part that must survive 100 TB): identical
-task-wave structure to pagerank_fused / hits_fused — per live
-partition one scatter task emitting P positional packets, per
-partition one reduce task (a single deterministic bincount with β
-folded in, so vertices with no in-edges still receive β). α is folded
-into the scatter multiply, so no extra task wave ever touches the
-state; the driver holds only object refs. Unlike HITS there is no
-per-iteration global scalar — the only global reduction is the final
-L2 norm, one float per partition.
+Each iteration is one ``fused.push_sum``: α folded into the scatter
+multiply, β into the reduce's bincount (so vertices with no in-edges
+still receive β). Unlike HITS there is no per-iteration global scalar —
+the only global reduction is the final L2 norm, one float per
+partition.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from raygraph.fused import block_cache
+from raygraph.fused import block_cache, push_sum
 
 
 def katz_fused(g, *, alpha: float = 0.05, beta: float = 1.0,
@@ -44,44 +40,16 @@ def katz_fused(g, *, alpha: float = 0.05, beta: float = 1.0,
 
     if keep_prev and normalize:
         raise ValueError("katz_fused: keep_prev requires normalize=False")
-
-    P = g.num_parts
+    if g.n_vertices == 0:
+        return ([], []) if keep_prev else []
     sizes = [int(s) for s in g.sizes]
-    n = g.n_vertices
-    if n == 0:
-        return []
     cache = block_cache(g)
-
-    from raygraph.fused import make_weighted_scatter
-
-    scatter = make_weighted_scatter(P)
-
-    def _reduce_body(size, b, *packets):
-        live = [pk for pk in packets if pk is not None]
-        if live:
-            pos = np.concatenate([pk[0] for pk in live])
-            val = np.concatenate([pk[1] for pk in live])
-            dense = np.bincount(pos, weights=val, minlength=size) + b
-        else:
-            dense = np.full(size, b, np.float64)
-        return dense
-
-    reduce_t = ray.remote(_reduce_body)
 
     x_refs = [ray.put(np.full(s, x0, np.float64)) for s in sizes]
     prev_refs = x_refs
     for _ in range(itermax):
         prev_refs = x_refs
-        pk = [[None] * P for _ in range(P)]
-        for p in range(P):
-            if cache[p] is None:
-                continue
-            outs = scatter.remote(cache[p], x_refs[p], alpha)
-            if P == 1:
-                outs = [outs]
-            for q in range(P):
-                pk[q][p] = outs[q]
-        x_refs = [reduce_t.remote(sizes[q], beta, *pk[q]) for q in range(P)]
+        x_refs, _ = push_sum(cache, sizes, x_refs, alpha, beta)
 
     xs = ray.get(x_refs)
     if keep_prev:

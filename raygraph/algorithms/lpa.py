@@ -13,11 +13,8 @@ the identical update rule, so outputs match exactly at any cutoff.
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
-from raygraph import checkpoint as ck
 from raygraph.engine import lpa_step
 
 
@@ -35,45 +32,22 @@ def label_propagation(
     stays in the object store (fused.lpa_fused). ``mode="dataset"``
     keeps the original engine.lpa_step Dataset supersteps as a
     small-scale cross-check (it round-trips full state through the
-    driver each round); parity-tested. Checkpointing uses dataset mode.
+    driver each round); parity-tested. Only the fused path checkpoints.
     """
     labels = [i.copy() for i in graph.ids_slices()]
-    if mode == "fused" and ckpt_dir is None:
-        from raygraph.fused import lpa_fused
+    if mode == "fused":
+        from raygraph.fused import _lpa_fused, lpa_fused
 
-        return lpa_fused(graph, labels, itermax=itermax)
-    it0 = 0
+        if ckpt_dir is None:
+            return lpa_fused(graph, labels, itermax=itermax)
+        return _lpa_fused(graph, labels, itermax, ckpt_dir, resume)
     if ckpt_dir is not None:
-        ck.save_graph(graph, ckpt_dir)
-        if resume:
-            last = ck.latest_iter(ckpt_dir)
-            if last is not None:
-                state, lineage = ck.read_iter(ckpt_dir, last, graph)
-                labels = [np.asarray(s, np.uint64) for s in state["labels"]]
-                it0 = last + 1
-                if lineage.get("converged"):
-                    return labels, {"iters": last + 1, "resumed": True}
-
-    it = it0 - 1
-    for it in range(it0, itermax):
-        t0 = time.perf_counter()
+        raise ValueError("label_propagation: checkpoints need mode='fused'")
+    it = -1
+    for it in range(itermax):
         new = lpa_step(graph, labels)
         changed = any(bool((a != b).any()) for a, b in zip(new, labels))
         labels = new
-        if ckpt_dir is not None:
-            ck.write_iter(
-                ckpt_dir,
-                it,
-                graph,
-                {"labels": labels},
-                {
-                    "iter": it,
-                    "converged": not changed,
-                    "edges_traversed": graph.nnz,
-                    "wall_s": time.perf_counter() - t0,
-                    "algorithm": "lpa",
-                },
-            )
         if not changed:
             break
     return labels, {"iters": it + 1, "edges_traversed": (it + 1) * graph.nnz}

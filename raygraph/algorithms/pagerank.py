@@ -60,24 +60,20 @@ def pagerank(
     teleport = (1.0 - damping) / n
 
     r = graph.state(1.0 / n)
-    it0 = 0
     history: list[dict] = []
-    if ckpt_dir is not None:
-        ck.save_graph(graph, ckpt_dir)
-        if resume:
-            last = ck.latest_iter(ckpt_dir)
-            if last is not None:
-                state, lineage = ck.read_iter(ckpt_dir, last, graph)
-                r = state["r"]
-                it0 = last + 1
-                if lineage.get("residual", np.inf) <= tol:
-                    return r, {
-                        "iters": last + 1,
-                        "residual": lineage["residual"],
-                        "edges_traversed": (last + 1) * graph.nnz,
-                        "resumed": True,
-                        "history": history,
-                    }
+    run = ck.Checkpoint(ckpt_dir, graph, "pagerank_3f", damping=damping,
+                        weighted=False, personalization=None)
+    it0, state, lineage = run.start(resume)
+    if state is not None:
+        r = state["r"]
+        if lineage.get("residual", np.inf) <= tol:
+            return r, {
+                "iters": it0,
+                "residual": lineage["residual"],
+                "edges_traversed": it0 * graph.nnz,
+                "resumed": True,
+                "history": history,
+            }
 
     residual = np.inf
     it = it0 - 1
@@ -96,21 +92,7 @@ def pagerank(
         wall = time.perf_counter() - t0
         history.append({"iter": it, "residual": residual, "wall_s": wall})
         if ckpt_dir is not None and (it % ckpt_every == 0 or residual <= tol):
-            ck.write_iter(
-                ckpt_dir,
-                it,
-                graph,
-                {"r": r},
-                {
-                    "iter": it,
-                    "residual": residual,
-                    "edges_traversed": graph.nnz,
-                    "wall_s": wall,
-                    "algorithm": "pagerank_3f",
-                    "damping": damping,
-                    "tol": tol,
-                },
-            )
+            run.write(it, {"r": r}, residual=residual, tol=tol)
         if residual <= tol:
             break
     return r, {
@@ -173,72 +155,28 @@ def pagerank_dangling_fused(graph, *, damping: float = 0.85,
     reference notebooks use; this variant is the stochastic-complete
     one).
 
-    Distributed shape: same task-wave structure as katz_fused — per
-    live partition one scatter task (x·damping/outdeg folded in), per
-    partition one bincount reduce with the iteration's scalar teleport
-    β = (1−d)/n + d·dangling_mass/n folded in. The dangling mass is a
-    per-partition masked sum (one float per partition per iteration,
-    exactly the HITS normalization-scalar pattern); the driver holds
-    refs and 1 scalar per iteration."""
+    Distributed shape: ``fused.push_sum`` waves with x·damping/outdeg
+    folded into the scatter and the iteration's scalar teleport
+    β = (1−d)/n + d·dangling_mass/n into the reduce; the reduce also
+    returns each partition's dangling mass, so the driver holds refs
+    and 1 scalar per iteration."""
     import ray
 
-    from raygraph.fused import block_cache
+    from raygraph.fused import _sum_reduce, block_cache, inv_outdeg, push_sum, wave
 
-    P = graph.num_parts
-    sizes = [int(s) for s in graph.sizes]
     n = graph.n_vertices
     if n == 0:
         return []
     cache = block_cache(graph)
-
-    def _setup(blk, size):
-        # edges are hash-partitioned by src, so a vertex's out-edges are
-        # in its OWN partition's block: invd == 0 exactly marks dangling
-        invd = np.zeros(size, np.float64)
-        if blk is not None:
-            invd[blk["src_pos"]] = damping / blk["counts"]
-        return invd, invd == 0.0
-
-    setup_t = ray.remote(num_returns=2)(_setup)
-    invd_refs, dang_refs = [], []
-    for p in range(P):
-        i_r, d_r = setup_t.remote(cache[p], sizes[p])
-        invd_refs.append(i_r)
-        dang_refs.append(d_r)
-
-    def _dang_sum(x_p, dang_p):
-        return float(x_p[dang_p].sum())
-
-    dang_t = ray.remote(_dang_sum)
-
-    from raygraph.fused import make_weighted_scatter
-
-    scatter = make_weighted_scatter(P)
-
-    def _reduce_body(size, beta, *packets):
-        live = [pk for pk in packets if pk is not None]
-        if live:
-            pos = np.concatenate([pk[0] for pk in live])
-            val = np.concatenate([pk[1] for pk in live])
-            return np.bincount(pos, weights=val, minlength=size) + beta
-        return np.full(size, beta, np.float64)
-
-    reduce_t = ray.remote(_reduce_body)
-
-    x_refs = [ray.put(np.full(s, 1.0 / n, np.float64)) for s in sizes]
+    sizes = [int(s) for s in graph.sizes]
+    # edges are hash-partitioned by src, so a vertex's out-edges are in
+    # its OWN partition's block: invd == 0 exactly marks dangling
+    invd = inv_outdeg(cache, sizes, damping)
+    # x0 = 1/n everywhere: a reduce with no packets, which also sums the
+    # initial dangling mass
+    x, dang, _ = wave(_sum_reduce, [(s, 1.0 / n, i) for s, i in zip(sizes, invd)],
+                      n_local=2, send=False)
     for _ in range(itermax):
-        dang = float(sum(ray.get(
-            [dang_t.remote(x_refs[p], dang_refs[p]) for p in range(P)])))
-        beta = (1.0 - damping) / n + damping * dang / n
-        pk = [[None] * P for _ in range(P)]
-        for p in range(P):
-            if cache[p] is None:
-                continue
-            outs = scatter.remote(cache[p], x_refs[p], invd_refs[p])
-            if P == 1:
-                outs = [outs]
-            for q in range(P):
-                pk[q][p] = outs[q]
-        x_refs = [reduce_t.remote(sizes[q], beta, *pk[q]) for q in range(P)]
-
-    return ray.get(x_refs)
+        beta = (1.0 - damping) / n + damping * float(sum(ray.get(dang))) / n
+        x, dang = push_sum(cache, sizes, x, invd, beta, invd)
+    return ray.get(x)

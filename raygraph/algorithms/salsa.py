@@ -12,13 +12,10 @@ so each half-step is a stochastic-matrix multiply and the iterate's L1
 mass is conserved (up to dangling loss) — no per-iteration scalar
 normalization is needed, unlike HITS.
 
-Distributed shape: identical task-wave structure to hits_fused (one
-scatter task per live partition emitting P positional packets, one
-bincount reduce per partition; driver holds refs only). The only
-difference is that the scatter multiplies by a PER-PARTITION inverse
-out-degree vector instead of a global scalar — that vector is derived
-once per partition from the block cache itself (counts per distinct
-src) and ``ray.put`` once, so no extra shuffle and no broadcast of any
+Each half-step is one ``fused.push_sum`` whose scatter multiplies by a
+PER-PARTITION inverse out-degree vector instead of HITS's global
+scalar — derived once per partition from the block cache itself
+(``fused.inv_outdeg``), so no extra shuffle and no broadcast of any
 global state. Same shape on the transposed graph for the hub step
 (outdeg of gT = indeg of g).
 """
@@ -27,23 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from raygraph.fused import block_cache
-
-
-def _inv_outdeg_refs(cache, sizes):
-    """Per-partition 1/outdeg (0 where outdeg 0) from the block caches —
-    blk["src_pos"]/blk["counts"] are the distinct resident sources and
-    their out-edge counts, so no pass over the edge list is needed."""
-    import ray
-
-    def body(blk, size):
-        inv = np.zeros(size, np.float64)
-        if blk is not None:
-            inv[blk["src_pos"]] = 1.0 / blk["counts"]
-        return inv
-
-    t = ray.remote(body)
-    return [t.remote(cache[p], sizes[p]) for p in range(len(sizes))]
+from raygraph.fused import block_cache, check_layout, inv_outdeg, push_sum
 
 
 def salsa_fused(g, gT, *, itermax: int = 4):
@@ -53,50 +34,19 @@ def salsa_fused(g, gT, *, itermax: int = 4):
     and num_parts (layout is a function of the id set alone)."""
     import ray
 
-    P = g.num_parts
-    if gT.num_parts != P or gT.n_vertices != g.n_vertices or not np.array_equal(
-            np.asarray(g.sizes), np.asarray(gT.sizes)):
-        raise ValueError("salsa_fused: g and gT must share vertex universe, "
-                         "num_parts and layout")
-    sizes = [int(s) for s in g.sizes]
-    n = g.n_vertices
-    if n == 0:
+    check_layout(g, gT, "salsa_fused")
+    if g.n_vertices == 0:
         return [], []
+    sizes = [int(s) for s in g.sizes]
     cacheA, cacheT = block_cache(g), block_cache(gT)
-    invA = _inv_outdeg_refs(cacheA, sizes)   # 1/outdeg(g)  — authority step
-    invT = _inv_outdeg_refs(cacheT, sizes)   # 1/indeg(g)   — hub step
-
-    from raygraph.fused import make_weighted_scatter
-
-    scatter = make_weighted_scatter(P)
-
-    def _reduce_body(size, *packets):
-        live = [pk for pk in packets if pk is not None]
-        if live:
-            pos = np.concatenate([pk[0] for pk in live])
-            val = np.concatenate([pk[1] for pk in live])
-            return np.bincount(pos, weights=val, minlength=size)
-        return np.zeros(size, np.float64)
-
-    reduce_t = ray.remote(_reduce_body)
-
-    def half_step(cache, inv_refs, x_refs):
-        pk = [[None] * P for _ in range(P)]
-        for p in range(P):
-            if cache[p] is None:
-                continue
-            outs = scatter.remote(cache[p], x_refs[p], inv_refs[p])
-            if P == 1:
-                outs = [outs]
-            for q in range(P):
-                pk[q][p] = outs[q]
-        return [reduce_t.remote(sizes[q], *pk[q]) for q in range(P)]
+    invA = inv_outdeg(cacheA, sizes)   # 1/outdeg(g)  — authority step
+    invT = inv_outdeg(cacheT, sizes)   # 1/indeg(g)   — hub step
 
     h_refs = [ray.put(np.ones(s, np.float64)) for s in sizes]
     a_refs = h_refs
     for _ in range(itermax):
-        a_refs = half_step(cacheA, invA, h_refs)   # a ← D_out⁻¹ᵀAᵀ h
-        h_refs = half_step(cacheT, invT, a_refs)   # h ← D_in⁻¹ᵀA a
+        a_refs, _ = push_sum(cacheA, sizes, h_refs, invA)   # a ← D_out⁻¹ᵀAᵀ h
+        h_refs, _ = push_sum(cacheT, sizes, a_refs, invT)   # h ← D_in⁻¹ᵀA a
 
     hs, as_ = ray.get(h_refs), ray.get(a_refs)
 

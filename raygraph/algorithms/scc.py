@@ -28,15 +28,14 @@ Algorithm (per round, on the still-unassigned subgraph):
    case is a chain of k non-trivial SCCs (k rounds), bounded by
    ``max_rounds``.
 
-Distributed shape (the part that must survive 100 TB): identical task-
-wave structure to pagerank/hits/katz — per live partition one scatter
-task emitting P positional packets, per partition one reduce task; per
-sweep only P booleans (changed flags) return to the driver; per round
-only P ints (active counts). Per-partition state (scc, active, color,
-flag) lives in the object store as one ref per partition; the driver
-never holds a vertex array. Assigned vertices send the min-neutral
-U64MAX (color wave) / 0 (flag wave), so no compaction is needed —
-rounds shrink work, not layout.
+Distributed shape (the part that must survive 100 TB): each sweep is
+one scatter wave plus one reduce wave (``fused.wave``) driven to its
+fixpoint by ``fused.drive``; per sweep only P booleans (changed flags)
+return to the driver, per round only P ints (active counts).
+Per-partition state (scc, active, color, flag) lives in the object store
+as one ref per partition; the driver never holds a vertex array.
+Assigned vertices send the min-neutral U64MAX (color wave) / 0 (flag
+wave), so no compaction is needed — rounds shrink work, not layout.
 """
 
 from __future__ import annotations
@@ -44,172 +43,129 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from raygraph.fused import U64MAX, block_cache
+from raygraph.fused import (U64MAX, _gather, _segment_scatter, block_cache,
+                             check_layout, drive, wave)
 from raygraph.ops import MONOID, local_combine
+
+
+def _color_send(blk, state):
+    _, active_p, color_p, _ = state
+    return _segment_scatter(blk, np.where(active_p, color_p, U64MAX), np.minimum)
+
+
+def _flag_send(blk, state):
+    _, _, color_p, flag_p = state
+    # flagged implies active implies color == some live id < U64MAX,
+    # so color+1 never wraps; 0 is the max-neutral "no flag"
+    return _segment_scatter(blk, np.where(flag_p, color_p + np.uint64(1),
+                                          np.uint64(0)), np.maximum)
+
+
+def _combine(packets, monoid):
+    pk = _gather(packets)
+    return (None, None) if pk is None else local_combine(monoid, *pk)
+
+
+def _init_round(ids_q, state):
+    scc_q, active_q, _c, _f = state
+    color = np.where(active_q, ids_q, U64MAX)
+    return (scc_q, active_q, color, np.zeros(len(ids_q), bool))
+
+
+def _color_reduce(state, *packets):
+    scc_q, active_q, color_q, flag_q = state
+    upos, umin = _combine(packets, MONOID["min"])
+    changed = False
+    if upos is not None and len(upos):
+        sel = active_q[upos]
+        cand = np.minimum(color_q[upos[sel]], umin[sel])
+        changed = bool((cand != color_q[upos[sel]]).any())
+        if changed:
+            color_q = color_q.copy()
+            color_q[upos[sel]] = cand
+    return (scc_q, active_q, color_q, flag_q), changed
+
+
+def _roots(ids_q, state):
+    scc_q, active_q, color_q, _f = state
+    return (scc_q, active_q, color_q, active_q & (color_q == ids_q))
+
+
+def _flag_reduce(state, *packets):
+    scc_q, active_q, color_q, flag_q = state
+    upos, umax = _combine(packets, MONOID["max"])
+    changed = False
+    if upos is not None and len(upos):
+        hit = (active_q[upos] & ~flag_q[upos]
+               & (umax == color_q[upos] + np.uint64(1)))
+        changed = bool(hit.any())
+        if changed:
+            flag_q = flag_q.copy()
+            flag_q[upos[hit]] = True
+    return (scc_q, active_q, color_q, flag_q), changed
+
+
+def _assign(state):
+    scc_q, active_q, color_q, flag_q = state
+    scc_q = np.where(flag_q, color_q, scc_q)
+    active_q = active_q & ~flag_q
+    return (scc_q, active_q, color_q, np.zeros(len(flag_q), bool)), \
+        int(active_q.sum())
 
 
 def scc_fused(g, gT, *, max_rounds: int = 64, max_sweeps: int = 4096):
     """Returns per-partition dense uint64 SCC labels (min member id) in
     ``g``'s layout. ``g`` and ``gT`` must share vertex universe,
-    num_parts and layout (same check as hits_fused)."""
+    num_parts and layout (``fused.check_layout``)."""
     import ray
 
-    P = g.num_parts
-    if gT.num_parts != P or gT.n_vertices != g.n_vertices or not np.array_equal(
-            np.asarray(g.sizes), np.asarray(gT.sizes)):
-        raise ValueError("scc_fused: g and gT must share vertex universe, "
-                         "num_parts and layout")
-    sizes = [int(s) for s in g.sizes]
+    check_layout(g, gT, "scc_fused")
     if g.n_vertices == 0:
         return []
     cacheF = block_cache(gT)  # color wave: v pulls C from out-neighbors
     cacheB = block_cache(g)   # flag wave: v pulls flags from in-neighbors
-    ids = g.ids_slices()
+    ids_refs = [ray.put(i) for i in g.ids_slices()]
+    sweeps_left = max_sweeps
 
-    def _scatter_min(blk, x_p):
-        xv = np.repeat(x_p[blk["src_pos"]], blk["counts"])
-        valp = xv[blk["perm"]]
-        out = [None] * P
-        for q, s0, e0, starts_rel, out_pos in blk["segs"]:
-            out[q] = (out_pos, np.minimum.reduceat(valp[s0:e0], starts_rel))
-        return out
+    def per_part(fn, st):
+        return wave(fn, [(i, s) for i, s in zip(ids_refs, st)], send=False)[0]
 
-    def _scatter_max(blk, x_p):
-        xv = np.repeat(x_p[blk["src_pos"]], blk["counts"])
-        valp = xv[blk["perm"]]
-        out = [None] * P
-        for q, s0, e0, starts_rel, out_pos in blk["segs"]:
-            out[q] = (out_pos, np.maximum.reduceat(valp[s0:e0], starts_rel))
-        return out
+    def fixpoint(cache, send, reduce, st):
+        nonlocal sweeps_left
 
-    def _color_send(state):
-        scc_p, active_p, color_p, flag_p = state
-        return np.where(active_p, color_p, U64MAX)
+        def sweep(st):
+            *_, pk = wave(send, [(s,) for s in st], n_local=0, cache=cache)
+            st, changed, _ = wave(reduce, [(s,) for s in st], pk, n_local=2,
+                                  send=False)
+            return st, changed
 
-    def _flag_send(state):
-        scc_p, active_p, color_p, flag_p = state
-        # flagged implies active implies color == some live id < U64MAX,
-        # so color+1 never wraps; 0 is the max-neutral "no flag"
-        return np.where(flag_p, color_p + np.uint64(1), np.uint64(0))
+        st, n, changed = drive(sweep, st, itermax=sweeps_left)
+        sweeps_left -= n
+        if not changed or changed[-1] > 0:
+            raise RuntimeError(
+                f"scc_fused: color/flag fixpoint not reached within "
+                f"max_sweeps={max_sweeps} — raise the bound")
+        return st
 
-    if P > 1:
-        sc_min = ray.remote(num_returns=P)(
-            lambda blk, st: tuple(_scatter_min(blk, _color_send(st))))
-        sc_max = ray.remote(num_returns=P)(
-            lambda blk, st: tuple(_scatter_max(blk, _flag_send(st))))
-    else:
-        sc_min = ray.remote(lambda blk, st: _scatter_min(blk, _color_send(st))[0])
-        sc_max = ray.remote(lambda blk, st: _scatter_max(blk, _flag_send(st))[0])
-
-    def _gather(pos_vals, combine_op):
-        live = [pk for pk in pos_vals if pk is not None]
-        if not live:
-            return None, None
-        pos = np.concatenate([pk[0] for pk in live])
-        val = np.concatenate([pk[1] for pk in live])
-        return local_combine(combine_op, pos, val)
-
-    def _init_round(ids_q, state):
-        scc_q, active_q, _c, _f = state
-        color = np.where(active_q, ids_q, U64MAX)
-        return (scc_q, active_q, color, np.zeros(len(ids_q), bool))
-
-    init_round = ray.remote(_init_round)
-
-    def _color_reduce(state, *packets):
-        scc_q, active_q, color_q, flag_q = state
-        upos, umin = _gather(packets, MONOID["min"])
-        changed = False
-        if upos is not None and len(upos):
-            sel = active_q[upos]
-            cand = np.minimum(color_q[upos[sel]], umin[sel])
-            changed = bool((cand != color_q[upos[sel]]).any())
-            if changed:
-                color_q = color_q.copy()
-                color_q[upos[sel]] = cand
-        return (scc_q, active_q, color_q, flag_q), changed
-
-    color_reduce = ray.remote(num_returns=2)(_color_reduce)
-
-    def _roots(ids_q, state):
-        scc_q, active_q, color_q, _f = state
-        return (scc_q, active_q, color_q, active_q & (color_q == ids_q))
-
-    roots = ray.remote(_roots)
-
-    def _flag_reduce(state, *packets):
-        scc_q, active_q, color_q, flag_q = state
-        upos, umax = _gather(packets, MONOID["max"])
-        changed = False
-        if upos is not None and len(upos):
-            hit = (active_q[upos] & ~flag_q[upos]
-                   & (umax == color_q[upos] + np.uint64(1)))
-            changed = bool(hit.any())
-            if changed:
-                flag_q = flag_q.copy()
-                flag_q[upos[hit]] = True
-        return (scc_q, active_q, color_q, flag_q), changed
-
-    flag_reduce = ray.remote(num_returns=2)(_flag_reduce)
-
-    def _assign(state):
-        scc_q, active_q, color_q, flag_q = state
-        scc_q = np.where(flag_q, color_q, scc_q)
-        active_q = active_q & ~flag_q
-        return (scc_q, active_q, color_q, np.zeros(len(flag_q), bool)), \
-            int(active_q.sum())
-
-    assign = ray.remote(num_returns=2)(_assign)
-
-    def sweep(cache, scatter, reducer, st_refs):
-        pk = [[None] * P for _ in range(P)]
-        for p in range(P):
-            if cache[p] is None:
-                continue
-            outs = scatter.remote(cache[p], st_refs[p])
-            if P == 1:
-                outs = [outs]
-            for q in range(P):
-                pk[q][p] = outs[q]
-        nxt, chg = [], []
-        for q in range(P):
-            sr, cr = reducer.remote(st_refs[q], *pk[q])
-            nxt.append(sr)
-            chg.append(cr)
-        return nxt, any(ray.get(chg))
+    def round_(st):
+        st = per_part(_init_round, st)
+        st = fixpoint(cacheF, _color_send, _color_reduce, st)
+        st = per_part(_roots, st)
+        st = fixpoint(cacheB, _flag_send, _flag_reduce, st)
+        st, n_active, _ = wave(_assign, [(s,) for s in st], n_local=2,
+                               send=False)
+        return st, n_active
 
     st = [ray.put((np.full(s, U64MAX, np.uint64), np.ones(s, bool),
                    np.full(s, U64MAX, np.uint64), np.zeros(s, bool)))
-          for s in sizes]
-    ids_refs = [ray.put(i) for i in ids]
-    sweeps_left = max_sweeps
-
-    def run_fixpoint(cache, scatter, reducer, st):
-        nonlocal sweeps_left
-        while True:
-            if sweeps_left <= 0:
-                raise RuntimeError(
-                    f"scc_fused: color/flag fixpoint not reached within "
-                    f"max_sweeps={max_sweeps} — raise the bound")
-            sweeps_left -= 1
-            st, changed = sweep(cache, scatter, reducer, st)
-            if not changed:
-                return st
-
-    for _ in range(max_rounds):
-        st = [init_round.remote(ids_refs[q], st[q]) for q in range(P)]
-        st = run_fixpoint(cacheF, sc_min, color_reduce, st)
-        st = [roots.remote(ids_refs[q], st[q]) for q in range(P)]
-        st = run_fixpoint(cacheB, sc_max, flag_reduce, st)
-        pairs = [assign.remote(st[q]) for q in range(P)]
-        st = [p[0] for p in pairs]
-        n_active = sum(ray.get([p[1] for p in pairs]))
-        if n_active == 0:
-            return [s[0] for s in ray.get(st)]
+          for s in g.sizes]
+    st, _, n_active = drive(round_, st, itermax=max_rounds)
+    if n_active and n_active[-1] == 0:
+        return [s[0] for s in ray.get(st)]
     raise RuntimeError(
-        f"scc_fused: {n_active} vertices unassigned after {max_rounds} "
-        f"rounds / {max_sweeps - sweeps_left} sweeps (SCC chain deeper "
-        "than max_rounds — raise the bound)")
+        f"scc_fused: {n_active[-1] if n_active else g.n_vertices} vertices "
+        f"unassigned after {max_rounds} rounds / {max_sweeps - sweeps_left} "
+        "sweeps (SCC chain deeper than max_rounds — raise the bound)")
 
 
 def condensation(g, label_slices, edges, *, count_edges: bool = True):

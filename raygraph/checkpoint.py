@@ -22,6 +22,7 @@ import json
 import os
 import re
 import shutil
+import time
 
 import numpy as np
 import pyarrow as pa
@@ -266,3 +267,53 @@ def read_iter(ckpt_dir: str, it: int, graph) -> tuple[dict[str, list[np.ndarray]
             slices[p] = np.asarray(tbl[name][i].values)
         state[name] = slices
     return state, lineage
+
+
+def digest(arrays) -> str | None:
+    """Short content hash of a list of arrays (None for None) — how a
+    lineage records an array-valued parameter such as a PPR vector."""
+    if arrays is None:
+        return None
+    import hashlib
+
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a, np.float64).tobytes())
+    return h.hexdigest()[:16]
+
+
+class Checkpoint:
+    """One checkpointed run of an iterative algorithm.
+
+    Every iteration's lineage carries ``algorithm`` plus the parameters
+    that change the answer; ``start`` refuses to resume a checkpoint
+    whose lineage disagrees with this call, so a run never returns
+    another run's state as its own. With ``ckpt_dir=None`` it is inert:
+    ``start`` reports a fresh run."""
+
+    def __init__(self, ckpt_dir: str, graph, algorithm: str, **params):
+        self.dir, self.graph = ckpt_dir, graph
+        self.tag = {"algorithm": algorithm, **params}
+
+    def start(self, resume: bool = True):
+        """Write the graph once; when resuming, load the newest complete
+        iteration. Returns ``(next_iter, state, lineage)``, or
+        ``(0, None, None)`` for a fresh run."""
+        if self.dir is None:
+            return 0, None, None
+        save_graph(self.graph, self.dir)
+        self.t0 = time.perf_counter()
+        last = latest_iter(self.dir) if resume else None
+        if last is None:
+            return 0, None, None
+        state, lineage = read_iter(self.dir, last, self.graph)
+        got = {k: lineage.get(k) for k in self.tag}
+        if got != self.tag:
+            raise ValueError(f"checkpoint {self.dir} iter={last} was written "
+                             f"with {got}; this call has {self.tag}")
+        return last + 1, state, lineage
+
+    def write(self, it: int, state: dict, **fields) -> None:
+        write_iter(self.dir, it, self.graph, state,
+                   {"iter": it, **fields, "edges_traversed": self.graph.nnz,
+                    "wall_s": time.perf_counter() - self.t0, **self.tag})

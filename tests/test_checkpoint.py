@@ -185,3 +185,26 @@ def test_build_graph_empty_input_is_valid():
     from raygraph.engine import spmv
     out = spmv(g, g.state(0.0), "plus_times")
     assert sum(len(s) for s in out) == 0
+
+
+def test_resume_refuses_checkpoint_of_other_parameters(tmp_path):
+    # a converged damping-0.85 checkpoint used to be returned unchanged
+    # ("resumed") to a call asking for damping 0.9 or weighted=True
+    import pytest
+
+    g = _graph()
+    ckpt = str(tmp_path / "ck")
+    _, i1 = pagerank(g, tol=1e-6, itermax=60, ckpt_dir=ckpt)
+    assert not i1.get("resumed")
+    with pytest.raises(ValueError, match="damping"):
+        pagerank(g, damping=0.9, tol=1e-6, itermax=60, ckpt_dir=ckpt)
+    with pytest.raises(ValueError, match="weighted"):
+        pagerank(g, tol=1e-6, itermax=60, ckpt_dir=ckpt, weighted=True)
+    with pytest.raises(ValueError, match="fastsv"):
+        connected_components(g, ckpt_dir=ckpt)
+    # the matching call still resumes, and resume=False starts afresh
+    _, i2 = pagerank(g, tol=1e-6, itermax=60, ckpt_dir=ckpt)
+    assert i2.get("resumed")
+    _, i3 = pagerank(g, damping=0.9, tol=1e-6, itermax=60, ckpt_dir=ckpt,
+                     resume=False)
+    assert not i3.get("resumed")

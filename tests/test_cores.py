@@ -115,18 +115,19 @@ def test_hits_fused_star():
 
     # star 0 -> {1,2,3,4}: hub mass all on 0, authority 1/4 per leaf
     e = _edges([(0, 1), (0, 2), (0, 3), (0, 4)])
-    g = build_graph(e, num_parts=4, dup_op="first", binarize=True)
 
     def swap(t):
         return pa.table({"src": t["dst"], "dst": t["src"], "w": t["w"]})
 
-    gT = build_graph(e.map_batches(swap, batch_format="pyarrow"),
-                     num_parts=4, dup_op="first", binarize=True)
-    hub, auth = hits_fused(g, gT, itermax=4)
-    th = g.to_vertex_table(hub, "hub").to_pandas().set_index("v")["hub"]
-    ta = g.to_vertex_table(auth, "auth").to_pandas().set_index("v")["auth"]
-    assert abs(th[0] - 1.0) < 1e-12 and all(abs(th[i]) < 1e-12 for i in (1, 2, 3, 4))
-    assert abs(ta[0]) < 1e-12 and all(abs(ta[i] - 0.25) < 1e-12 for i in (1, 2, 3, 4))
+    for parts in (4, 1):
+        g = build_graph(e, num_parts=parts, dup_op="first", binarize=True)
+        gT = build_graph(e.map_batches(swap, batch_format="pyarrow"),
+                         num_parts=parts, dup_op="first", binarize=True)
+        hub, auth = hits_fused(g, gT, itermax=4)
+        th = g.to_vertex_table(hub, "hub").to_pandas().set_index("v")["hub"]
+        ta = g.to_vertex_table(auth, "auth").to_pandas().set_index("v")["auth"]
+        assert abs(th[0] - 1.0) < 1e-12 and all(abs(th[i]) < 1e-12 for i in (1, 2, 3, 4))
+        assert abs(ta[0]) < 1e-12 and all(abs(ta[i] - 0.25) < 1e-12 for i in (1, 2, 3, 4))
 
 
 def test_props_field_agg_matches_pandas():
@@ -149,16 +150,30 @@ def test_katz_fused_matches_dense_power_iteration():
     from tests import fixtures as fx
 
     A = (fx.random_graph(40, 0.1, seed=11) != 0).astype(np.float64)
-    g = build_graph(rd.from_arrow(fx.dense_to_edge_table(A)),
-                    num_parts=4, dup_op="first", binarize=True)
-    xs = katz_fused(g, alpha=0.05, beta=1.0, itermax=8, normalize=True)
-    t = g.to_vertex_table(xs, "katz").to_pandas().set_index("v")["katz"]
     x = np.zeros(40)
     for _ in range(8):
         x = 0.05 * (A.T @ x) + 1.0
     x /= np.linalg.norm(x)
-    got = np.array([t.get(i, 0.0) for i in range(40)])
-    np.testing.assert_allclose(got, x, atol=1e-12)
+    for parts in (4, 1):
+        g = build_graph(rd.from_arrow(fx.dense_to_edge_table(A)),
+                        num_parts=parts, dup_op="first", binarize=True)
+        xs = katz_fused(g, alpha=0.05, beta=1.0, itermax=8, normalize=True)
+        t = g.to_vertex_table(xs, "katz").to_pandas().set_index("v")["katz"]
+        got = np.array([t.get(i, 0.0) for i in range(40)])
+        np.testing.assert_allclose(got, x, atol=1e-12)
+
+
+def test_katz_fused_empty_graph_keep_prev():
+    from raygraph.algorithms.katz import katz_fused
+    from raygraph.graph import build_graph
+
+    # zero edges -> n=0; spectral_radius unpacks (xs, prev) from this call
+    g = build_graph(rd.from_arrow(pa.table({
+        "src": np.empty(0, np.uint64), "dst": np.empty(0, np.uint64),
+        "w": np.empty(0, np.float64)})), num_parts=4)
+    assert g.n_vertices == 0
+    assert katz_fused(g, normalize=False, x0=1.0, keep_prev=True) == ([], [])
+    assert katz_fused(g) == []
 
 
 def test_reciprocity_counts():
@@ -305,8 +320,10 @@ def _scc_run(pairs, num_parts=4):
 def test_scc_two_cycles_chain():
     # cycle {0,1} -> cycle {2,3} -> sink 4; plus self-loop 5 and isolated edge 6->0
     pairs = [(0, 1), (1, 0), (1, 2), (2, 3), (3, 2), (3, 4), (5, 5), (6, 0)]
-    got = _scc_run(pairs)
-    assert got == {0: 0, 1: 0, 2: 2, 3: 2, 4: 4, 5: 5, 6: 6}
+    # P=16 over 7 vertices leaves partitions with no vertices and no edges
+    for parts in (4, 1, 16):
+        got = _scc_run(pairs, num_parts=parts)
+        assert got == {0: 0, 1: 0, 2: 2, 3: 2, 4: 4, 5: 5, 6: 6}
 
 
 def test_scc_dag_path_one_round():
@@ -322,9 +339,10 @@ def test_scc_random_matches_kosaraju():
              zip(rng.integers(0, n, m), rng.integers(0, n, m))}
     pairs = sorted(pairs)
     want = _scc_oracle(n, pairs)
-    got = _scc_run(pairs, num_parts=6)
     touched = sorted({v for p in pairs for v in p})
-    assert {v: got[v] for v in touched} == {v: want[v] for v in touched}
+    for parts in (6, 1):
+        got = _scc_run(pairs, num_parts=parts)
+        assert {v: got[v] for v in touched} == {v: want[v] for v in touched}
 
 
 def _truss_brute(A, k):
@@ -433,17 +451,18 @@ def test_eigen_power_iteration_matches_dense():
     from tests import fixtures as fx
 
     A = (fx.random_graph(40, 0.1, seed=13) != 0).astype(np.float64)
-    g = build_graph(rd.from_arrow(fx.dense_to_edge_table(A)),
-                    num_parts=4, dup_op="first", binarize=True)
-    xs = katz_fused(g, alpha=1.0, beta=0.0, itermax=8, normalize=True,
-                    x0=1.0)
-    t = g.to_vertex_table(xs, "eig").to_pandas().set_index("v")["eig"]
     x = np.ones(40)
     for _ in range(8):
         x = A.T @ x
     x /= np.linalg.norm(x)
-    got = np.array([t.get(i, 0.0) for i in range(40)])
-    np.testing.assert_allclose(got, x, atol=1e-12)
+    for parts in (4, 1):
+        g = build_graph(rd.from_arrow(fx.dense_to_edge_table(A)),
+                        num_parts=parts, dup_op="first", binarize=True)
+        xs = katz_fused(g, alpha=1.0, beta=0.0, itermax=8, normalize=True,
+                        x0=1.0)
+        t = g.to_vertex_table(xs, "eig").to_pandas().set_index("v")["eig"]
+        got = np.array([t.get(i, 0.0) for i in range(40)])
+        np.testing.assert_allclose(got, x, atol=1e-12)
 
 
 def test_salsa_fused_matches_dense():
@@ -453,16 +472,9 @@ def test_salsa_fused_matches_dense():
 
     A = (fx.random_graph(40, 0.12, seed=17) != 0).astype(np.float64)
     e = rd.from_arrow(fx.dense_to_edge_table(A))
-    g = build_graph(e, num_parts=4, dup_op="first", binarize=True)
 
     def swap(t):
         return pa.table({"src": t["dst"], "dst": t["src"], "w": t["w"]})
-
-    gT = build_graph(e.map_batches(swap, batch_format="pyarrow"),
-                     num_parts=4, dup_op="first", binarize=True)
-    hub, auth = salsa_fused(g, gT, itermax=4)
-    th = g.to_vertex_table(hub, "hub").to_pandas().set_index("v")["hub"]
-    ta = g.to_vertex_table(auth, "auth").to_pandas().set_index("v")["auth"]
 
     od = A.sum(axis=1)
     idg = A.sum(axis=0)
@@ -474,10 +486,17 @@ def test_salsa_fused_matches_dense():
         h = Wh @ a
     h /= h.sum()
     a /= a.sum()
-    got_h = np.array([th.get(i, 0.0) for i in range(40)])
-    got_a = np.array([ta.get(i, 0.0) for i in range(40)])
-    np.testing.assert_allclose(got_h, h, atol=1e-12)
-    np.testing.assert_allclose(got_a, a, atol=1e-12)
+    for parts in (4, 1):
+        g = build_graph(e, num_parts=parts, dup_op="first", binarize=True)
+        gT = build_graph(e.map_batches(swap, batch_format="pyarrow"),
+                         num_parts=parts, dup_op="first", binarize=True)
+        hub, auth = salsa_fused(g, gT, itermax=4)
+        th = g.to_vertex_table(hub, "hub").to_pandas().set_index("v")["hub"]
+        ta = g.to_vertex_table(auth, "auth").to_pandas().set_index("v")["auth"]
+        got_h = np.array([th.get(i, 0.0) for i in range(40)])
+        got_a = np.array([ta.get(i, 0.0) for i in range(40)])
+        np.testing.assert_allclose(got_h, h, atol=1e-12)
+        np.testing.assert_allclose(got_a, a, atol=1e-12)
 
 
 def test_rich_club_small():
@@ -515,25 +534,26 @@ def test_pagerank_dangling_mass_conserved():
     A = (fx.random_graph(50, 0.06, seed=23) != 0).astype(np.float64)
     A[7, :] = 0  # force dangling rows
     A[31, :] = 0
-    g = build_graph(rd.from_arrow(fx.dense_to_edge_table(A)),
-                    num_parts=4, dup_op="first", binarize=True)
-    xs = pagerank_dangling_fused(g, damping=0.85, itermax=8)
-    t = g.to_vertex_table(xs, "score").to_pandas().set_index("v")["score"]
-    n = g.n_vertices
-    # dense oracle over the SAME vertex universe (edge endpoints only)
-    ids = sorted(t.index)
-    sub = A[np.ix_(ids, ids)]
-    od = sub.sum(axis=1)
-    x = np.full(len(ids), 1.0 / n)
-    for _ in range(8):
-        dang = x[od == 0].sum()
-        beta = 0.15 / n + 0.85 * dang / n
-        W = np.divide(sub, od[:, None], out=np.zeros_like(sub),
-                      where=od[:, None] > 0)
-        x = beta + 0.85 * (W.T @ x)
-    got = np.array([t[i] for i in ids])
-    np.testing.assert_allclose(got, x, atol=1e-12)
-    assert abs(sum(xs_p.sum() for xs_p in xs) - 1.0) < 1e-9
+    for parts in (4, 1):
+        g = build_graph(rd.from_arrow(fx.dense_to_edge_table(A)),
+                        num_parts=parts, dup_op="first", binarize=True)
+        xs = pagerank_dangling_fused(g, damping=0.85, itermax=8)
+        t = g.to_vertex_table(xs, "score").to_pandas().set_index("v")["score"]
+        n = g.n_vertices
+        # dense oracle over the SAME vertex universe (edge endpoints only)
+        ids = sorted(t.index)
+        sub = A[np.ix_(ids, ids)]
+        od = sub.sum(axis=1)
+        x = np.full(len(ids), 1.0 / n)
+        for _ in range(8):
+            dang = x[od == 0].sum()
+            beta = 0.15 / n + 0.85 * dang / n
+            W = np.divide(sub, od[:, None], out=np.zeros_like(sub),
+                          where=od[:, None] > 0)
+            x = beta + 0.85 * (W.T @ x)
+        got = np.array([t[i] for i in ids])
+        np.testing.assert_allclose(got, x, atol=1e-12)
+        assert abs(sum(xs_p.sum() for xs_p in xs) - 1.0) < 1e-9
 
 
 def test_triad_counts_fixture():

@@ -52,16 +52,20 @@ def test_cc_fused_matches_dataset_and_oracle():
     from raygraph.algorithms.components import connected_components
 
     A = fx.cc_dense()
-    verts = rd.from_arrow(fx.vertex_table(fx.CC_N))
-    g = build_graph(rd.from_arrow(fx.dense_to_edge_table(A)), vertices_ds=verts,
-                    num_parts=4, symmetrize=True, binarize=True)
-    f_ds, _ = connected_components(g, mode="dataset")
-    f_fu, _ = connected_components(g, mode="fused")
-    for a, b in zip(f_ds, f_fu):
-        np.testing.assert_array_equal(a, b)
-    t = g.to_vertex_table(f_fu, "label")
-    got = dict(zip(t["v"].to_pylist(), t["label"].to_pylist()))
-    assert {int(k): int(v) for k, v in got.items()} == fx.CC_LABELS
+    # P=1 exercises the single-partition wave; P=16 over 12 vertices
+    # leaves partitions with no vertices and no edges
+    for parts in (4, 1, 16):
+        verts = rd.from_arrow(fx.vertex_table(fx.CC_N))
+        g = build_graph(rd.from_arrow(fx.dense_to_edge_table(A)),
+                        vertices_ds=verts, num_parts=parts, symmetrize=True,
+                        binarize=True)
+        f_ds, _ = connected_components(g, mode="dataset")
+        f_fu, _ = connected_components(g, mode="fused")
+        for a, b in zip(f_ds, f_fu):
+            np.testing.assert_array_equal(a, b)
+        t = g.to_vertex_table(f_fu, "label")
+        got = dict(zip(t["v"].to_pylist(), t["label"].to_pylist()))
+        assert {int(k): int(v) for k, v in got.items()} == fx.CC_LABELS
 
 
 def test_cc_fused_random_graph():
@@ -206,6 +210,32 @@ def test_lpa_fused_single_partition():
     l_ds, _ = label_propagation(g, itermax=5, mode="dataset")
     for a, b in zip(l_fu, l_ds):
         np.testing.assert_array_equal(a, b)
+
+
+def test_lpa_checkpoint_resume_matches_uninterrupted(tmp_path):
+    import pytest
+
+    from raygraph import checkpoint as ck
+    from raygraph.algorithms.lpa import label_propagation
+
+    A = fx.planted_partition(seed=29)
+    g = build_graph(rd.from_arrow(fx.dense_to_edge_table(A)), num_parts=5,
+                    symmetrize=True, drop_self=True, binarize=True)
+    full, i_full = label_propagation(g, itermax=8)
+    assert i_full["iters"] > 2
+    ckpt = str(tmp_path / "lpa")
+    label_propagation(g, itermax=2, ckpt_dir=ckpt)  # interrupted
+    assert ck.latest_iter(ckpt) == 1
+    resumed, info = label_propagation(g, itermax=8, ckpt_dir=ckpt)
+    assert info["iters"] == i_full["iters"]
+    for a, b in zip(full, resumed):
+        np.testing.assert_array_equal(a, b)
+    _, lineage = ck.read_iter(ckpt, ck.latest_iter(ckpt), g)
+    assert lineage["algorithm"] == "lpa"
+    assert lineage["iter"] + 1 == info["iters"]
+    # only the fused path checkpoints: the Dataset loop refuses a ckpt_dir
+    with pytest.raises(ValueError):
+        label_propagation(g, itermax=2, ckpt_dir=ckpt, mode="dataset")
 
 
 def test_lpa_fused_directed_source_and_sink_partitions():
