@@ -107,21 +107,8 @@ def run_bench() -> dict:
             if hasattr(m, "free_caches"):
                 m.free_caches()
 
-    # quiet targets are tuned at 32 cpus; on the low-cpu scaling legs the
-    # same absolute target is unreachable (the job is legitimately slower),
-    # so scale it by 32/N — sub-linear actual scaling makes the scaled
-    # target generous there, which just means retry stops early.
-    qt_scale = max(1.0, 32.0 / NUM_CPUS)
-
-    def staged(name: str, fn, n: int | None = None,
-               quiet_target: float | None = None, quiet_budget: float = 0.0):
-        """min-of-N samples; with quiet_target set, keep resampling (within
-        quiet_budget seconds of wall clock) until one sample lands under the
-        target — so a stage whose steady-state best is known isn't recorded
-        only at loud-window speed. The membw stamps make a budget-exhausted
-        record self-evidencing (no quiet window occurred)."""
-        if quiet_target is not None:
-            quiet_target *= qt_scale
+    def staged(name: str, fn, n: int | None = None):
+        """min-of-N samples, each stamped with a membw reading."""
         samples, bws, result = [], [], None
 
         def one_sample():
@@ -135,10 +122,6 @@ def run_bench() -> dict:
 
         for _ in range(n or repeats):
             one_sample()
-        if quiet_target is not None:
-            deadline = time.perf_counter() + quiet_budget
-            while min(samples) > quiet_target and time.perf_counter() < deadline:
-                one_sample()
         q[name] = min(samples)
         stages[name] = {"min": min(samples), "samples": samples,
                         "membw_gbps": bws}
@@ -162,22 +145,13 @@ def run_bench() -> dict:
             pages, concurrency=(1, max(4, NUM_CPUS - 2)), urls_ds=urls)
         return extracted, links.materialize(), verts.materialize()
 
-    # retry-until-quiet on the two largest e2e components (steady-state
-    # bests 18.5 s / 16.6 s, loud-window samples 5-7x that): the same
-    # treatment pagerank/symmetrize/cc/bfs already get, so the driver
-    # record reflects engine speed rather than which host window it hit.
-    extracted, links, verts = staged("extract", do_extract,
-                                     quiet_target=28.0, quiet_budget=300.0)
+    extracted, links, verts = staged("extract", do_extract)
 
     def do_build():
         return build_graph(links, vertices_ds=verts, num_parts=P,
                            dup_op="plus", binarize=True)
 
-    # quiet_budget raised 240 -> 360 (VERDICT r4 next #2): build is the one
-    # stage whose driver min stayed > 2x the all-time best; more retries =
-    # more chances to catch a quiet bus window, and the membw stamps in the
-    # side file make a budget-exhausted record self-evidencing
-    g = staged("build", do_build, quiet_target=18.0, quiet_budget=360.0)
+    g = staged("build", do_build)
     q["extract_build"] = round(q["extract"] + q["build"], 3)
 
     def do_pagerank():
@@ -188,11 +162,7 @@ def run_bench() -> dict:
     # min-of-N reflects the steady state an iterating production job sees.
     # This applies to the scaling legs too: the warm-up is a near-fixed
     # cost, so a single-sample leg deflates eff(N->4N) artificially.
-    # retry-until-quiet: steady-state best is 9.0 s — keep sampling until
-    # a window within 2x of it appears (r3's driver record caught only
-    # loud windows at 1.7 GB/s membw; the stamps make a miss self-evident)
-    slices, info = staged("pagerank", do_pagerank, n=repeats + 1,
-                          quiet_target=13.0, quiet_budget=200.0)
+    slices, info = staged("pagerank", do_pagerank, n=repeats + 1)
     headline = q["extract_build"] + q["pagerank"]
 
     pr_meta = {
@@ -301,16 +271,11 @@ def run_bench() -> dict:
 
     # derive A+A.T from the directed build's CSR blocks (one positional
     # exchange) instead of re-running the whole build from the link table
-    # retry-until-quiet (VERDICT r3 next #4): the radix-sort rework's
-    # builder-recorded best is 4.8 s; keep sampling until a window within 2x
-    # of it appears or the budget runs out (membw stamps tell the story)
     gs = staged("symmetrize",
                 lambda: symmetrize_graph(g, dup_op="first", binarize=True,
-                                         drop_self=True),
-                quiet_target=9.6, quiet_budget=150.0)
-    # cc must not double-count symmetrize (quiet-retry: steady best 6.9 s)
-    f, cci = staged("cc", lambda: connected_components(gs, mode="fused"),
-                    quiet_target=10.5, quiet_budget=90.0)
+                                         drop_self=True))
+    # cc must not double-count symmetrize
+    f, cci = staged("cc", lambda: connected_components(gs, mode="fused"))
     pr_meta["cc_rounds"] = cci["iters"]
 
     # release the symmetric graph before BFS runs on the directed one
@@ -329,8 +294,7 @@ def run_bench() -> dict:
     pbest = max(range(g.num_parts),
                 key=lambda p: degs[p].max() if len(degs[p]) else -1)
     src_v = int(ids[pbest][int(np.argmax(degs[pbest]))])
-    dist, bfsi = staged("bfs", lambda: bfs_levels(g, src_v, mode="frontier"),
-                        quiet_target=4.2, quiet_budget=45.0)
+    dist, bfsi = staged("bfs", lambda: bfs_levels(g, src_v, mode="frontier"))
     pr_meta["bfs_rounds"] = bfsi["iters"]
     pr_meta["bfs_edges_traversed"] = bfsi["edges_traversed"]
     pr_meta["bfs_dnnz"] = bfsi["iters"] * g.nnz  # what full relaxation would touch
@@ -374,16 +338,10 @@ def run_bench() -> dict:
     gu.free_caches()
     gu = None
     gsk = staged("skew_build_hub", lambda: synth_graph(True))
-    # quiet-retry against the uniform control: idle-box ratio is ~0.93
-    # (the per-batch combine bounds hub fan-in by design), so a skew min
-    # outside 1.5x the uniform min means host drift, not the engine —
-    # keep sampling within budget until a comparable window lands
-    _, psk = staged("pagerank_skew_10m", lambda: pr10(gsk), n=repeats + 1,
-                    quiet_target=1.5 * q["pagerank_uniform_10m"],
-                    quiet_budget=90.0)
-    _, csk = staged("cc_skew_10m", lambda: cc8(gsk), n=repeats + 1,
-                    quiet_target=1.5 * q["cc_uniform_10m"],
-                    quiet_budget=90.0)
+    # idle-box skew/uniform ratio is ~0.93: the per-batch combine bounds
+    # hub fan-in by design
+    _, psk = staged("pagerank_skew_10m", lambda: pr10(gsk), n=repeats + 1)
+    _, csk = staged("cc_skew_10m", lambda: cc8(gsk), n=repeats + 1)
     gsk.free_caches()
     gsk = None
     pr_meta["skew_over_uniform"] = round(

@@ -188,13 +188,8 @@ def local_clustering(edges, *, num_buckets: int = _B):
     deg = K.reduce_rowwise(sym, "plus")
     tri2 = K.reduce_rowwise(K.mxm(sym, sym, "plus_times", mask=sym), "plus")
 
-    def join(v, val, side) -> pa.Table:
-        keys, has, vals = K._join_sides(v, val, side, 2, np.float64)
-        if len(keys) == 0:
-            return pa.table({"v": pa.array([], pa.int64()),
-                             "deg": pa.array([], pa.int64()),
-                             "tri": pa.array([], pa.int64()),
-                             "lcc_ppm": pa.array([], pa.int64())})
+    def join(g: dict) -> pa.Table:
+        (keys,), has, (vals,) = K._join_sides(g, 2)
         d = np.rint(vals[0]).astype(np.int64)   # deg ⊇ tri2 support
         t2 = np.rint(np.where(has[1], vals[1], 0.0)).astype(np.int64)
         denom = d * (d - 1)
@@ -203,8 +198,9 @@ def local_clustering(edges, *, num_buckets: int = _B):
         return pa.table({"v": keys.astype(np.int64), "deg": d,
                          "tri": t2 // 2, "lcc_ppm": lcc})
 
-    return K._cogroup([(deg, 0), (tri2, 1)], join, num_buckets,
-                      dtype=np.float64)
+    cols = K._keyed_cols("v", "val", np.float64)
+    return K._cogroup([(deg, cols), (tri2, cols)], join,
+                      num_buckets=num_buckets)
 
 
 def avg_neighbor_degree(edges, *, num_buckets: int = _B):
@@ -219,21 +215,17 @@ def avg_neighbor_degree(edges, *, num_buckets: int = _B):
     deg = K.reduce_rowwise(sym, "plus")
     snd = K.mxv(sym, deg, "plus_times")
 
-    def join(v, val, side) -> pa.Table:
-        keys, has, vals = K._join_sides(v, val, side, 2, np.float64)
-        if len(keys) == 0:
-            return pa.table({"v": pa.array([], pa.int64()),
-                             "deg": pa.array([], pa.int64()),
-                             "sum_nbr_deg": pa.array([], pa.int64()),
-                             "avg_nbr_deg_ppm": pa.array([], pa.int64())})
+    def join(g: dict) -> pa.Table:
+        (keys,), has, (vals,) = K._join_sides(g, 2)
         d = np.rint(vals[0]).astype(np.int64)
         s = np.rint(np.where(has[1], vals[1], 0.0)).astype(np.int64)
         return pa.table({"v": keys.astype(np.int64), "deg": d,
                          "sum_nbr_deg": s,
                          "avg_nbr_deg_ppm": s * 1_000_000 // d})
 
-    return K._cogroup([(deg, 0), (snd, 1)], join, num_buckets,
-                      dtype=np.float64)
+    cols = K._keyed_cols("v", "val", np.float64)
+    return K._cogroup([(deg, cols), (snd, cols)], join,
+                      num_buckets=num_buckets)
 
 
 def degree_assortativity(edges, *, num_buckets: int = _B) -> pa.Table:

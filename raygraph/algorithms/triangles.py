@@ -40,47 +40,32 @@ def triangle_count_mxm(edges) -> int:
     (``triangle_count``) is the skew-optimized production variant —
     both are cross-checked in tests/test_algorithms.py."""
     from raygraph import kernels as K
-    from raygraph.util import mix64
 
-    B = 64
+    def distinct(hi: np.ndarray, lo: np.ndarray):
+        order = np.lexsort((lo, hi))
+        hi, lo = hi[order], lo[order]
+        new = np.ones(len(hi), bool)
+        new[1:] = (hi[1:] != hi[:-1]) | (lo[1:] != lo[:-1])
+        return hi[new], lo[new]
 
-    def to_lower(t: pa.Table) -> pa.Table:
-        """Strict-lower undirected pairs, per-batch deduped, bucketed on a
-        mix64 pair hash (full-range uint64 ids: Ray's native groupby key
-        path can't carry them, and our own bucketed unique is the same
-        shuffle shape used everywhere else in this repo)."""
-        s = np.asarray(t["src"].to_numpy(zero_copy_only=False), np.uint64)
-        d = np.asarray(t["dst"].to_numpy(zero_copy_only=False), np.uint64)
+    def to_lower(t: pa.Table) -> dict:
+        """Strict-lower undirected pairs, deduped inside the batch before
+        the (src, dst)-keyed co-group."""
+        s = K._col(t, "src", np.uint64)
+        d = K._col(t, "dst", np.uint64)
         keep = s != d
         s, d = s[keep], d[keep]
-        hi, lo = np.maximum(s, d), np.minimum(s, d)
-        # local combine: dedup inside the batch before the shuffle
-        order = np.lexsort((lo, hi))
-        hi, lo = hi[order], lo[order]
-        new = np.r_[True, (hi[1:] != hi[:-1]) | (lo[1:] != lo[:-1])]
-        hi, lo = hi[new], lo[new]
-        with np.errstate(over="ignore"):
-            bk = (mix64(hi * np.uint64(0x9E3779B97F4A7C15) ^ lo)
-                  % np.uint64(B)).astype(np.int32)
-        return pa.table({"bucket": bk, "src": hi, "dst": lo})
+        hi, lo = distinct(np.maximum(s, d), np.minimum(s, d))
+        return {"src": hi, "dst": lo}
 
-    def dedup(g: pa.Table) -> pa.Table:
-        hi = np.asarray(g["src"].to_numpy(zero_copy_only=False), np.uint64)
-        lo = np.asarray(g["dst"].to_numpy(zero_copy_only=False), np.uint64)
-        order = np.lexsort((lo, hi))
-        hi, lo = hi[order], lo[order]
-        new = np.r_[True, (hi[1:] != hi[:-1]) | (lo[1:] != lo[:-1])]
-        hi, lo = hi[new], lo[new]
+    def dedup(g: dict) -> pa.Table:
+        hi, lo = distinct(g["src"], g["dst"])
         return pa.table({"src": hi, "dst": lo,
                          "w": np.ones(len(hi), np.float64)})
 
-    tril = (
-        K._ds(edges)
-        .map_batches(to_lower, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(dedup, batch_format="pyarrow")
-        .materialize()  # distinct-pair set, consumed three times (A, B, mask)
-    )
+    # distinct-pair set, consumed three times (A, B, mask)
+    tril = K._cogroup([(edges, to_lower)], dedup, key=("src", "dst"),
+                      num_buckets=64).materialize()
     masked = K.mxm(tril, tril, "plus_times", mask=tril)
     total = K.reduce_scalar(masked, "plus", col="w")
     return int(total) if total is not None else 0

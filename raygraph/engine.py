@@ -16,9 +16,9 @@ the step valid when the vertex state no longer fits one node.
 
 Skew note: hub destinations are bounded by the per-batch local combine
 (at most one contribution row per (source block, destination vertex)), so
-the reduce key space is at most P rows per destination — the salting
-happens structurally here; the generic Dataset kernel (kernels.py) also
-exposes explicit salt-key reduction for raw COO inputs.
+the reduce key space is at most P rows per destination; the generic
+Dataset kernel (kernels.salted_aggregate) bounds hub keys the same way
+with a per-block combine before its shuffle.
 
 Role note (round 2): this dataset-mode engine is the CROSS-CHECK path —
 its supersteps assemble per-partition result slices on the driver

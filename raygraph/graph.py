@@ -378,7 +378,7 @@ def _emit_block_table(part, ids, es, ed, ew, edp, edpos, dup_op,
     )
 
 
-def _graph_from_block_refs(block_refs, P, timings) -> "Graph":
+def _graph_from_block_refs(block_refs, P) -> "Graph":
     """Assemble the Graph object from per-partition CSR table refs."""
     import ray
 
@@ -429,21 +429,16 @@ def _graph_from_block_refs(block_refs, P, timings) -> "Graph":
     g = Graph(blocks=blocks, num_parts=P, sizes=sizes, nnz=nnz,
               n_vertices=int(sizes.sum()))
     g._block_refs = block_refs
-    g.build_timings = timings
     return g
 
 
 def _build_broadcast(edges_ds, verts, P, *, dup_op, binarize, symmetrize,
-                     drop_self, check_src, t_start,
+                     drop_self, check_src,
                      wdt=np.float64) -> "Graph":
     """Single-exchange build with broadcast per-partition vertex ids."""
-    import time as _time
-
     import ray
 
     from raygraph.shuffle import exchange
-
-    timings: dict[str, float] = {}
 
     # collect the (locally uniqued) vertex registry rows -> per-part ids
     vcol = []
@@ -453,8 +448,6 @@ def _build_broadcast(edges_ds, verts, P, *, dup_op, binarize, symmetrize,
     parts = part_of(all_ids, P)
     ids_sl = [np.ascontiguousarray(all_ids[parts == p]) for p in range(P)]
     ids_refs = [ray.put(a) for a in ids_sl]
-    timings["verts_broadcast"] = _time.perf_counter() - t_start
-    _t1 = _time.perf_counter()
 
     def prep(t: pa.Table) -> pa.Table:
         src = np.asarray(t["src"].to_numpy(zero_copy_only=False), np.uint64)
@@ -508,7 +501,6 @@ def _build_broadcast(edges_ds, verts, P, *, dup_op, binarize, symmetrize,
                                  binarize, wdt=wdt)
 
     block_refs = exchange([tagged], P, csr_fast, part_kwarg="part")
-    timings["csr"] = _time.perf_counter() - _t1
 
     # parts with vertices but no out-edges still need their block row
     @ray.remote
@@ -523,7 +515,7 @@ def _build_broadcast(edges_ds, verts, P, *, dup_op, binarize, symmetrize,
         if block_refs[p] is None and len(ids_sl[p]):
             block_refs[p] = empty_block.remote(p, ids_refs[p])
 
-    return _graph_from_block_refs(block_refs, P, timings)
+    return _graph_from_block_refs(block_refs, P)
 
 
 def build_graph(
@@ -562,15 +554,10 @@ def build_graph(
     # uniqued id rows, tiny next to the edges
     verts = verts.materialize()
 
-    import time as _time
-
-    timings: dict[str, float] = {}
-    _t0 = _time.perf_counter()
-
     if verts.count() == 0:
         # zero-vertex input: short-circuit to a structurally valid empty
         # graph (the exchange stages would otherwise emit part-less tables)
-        return _graph_from_block_refs([None] * P, P, timings)
+        return _graph_from_block_refs([None] * P, P)
 
     # ---- fast path: when the vertex id set is small enough to broadcast
     # (default 256 MB ~ 32M vertices), the whole build is ONE exchange keyed
@@ -582,7 +569,7 @@ def build_graph(
         return _build_broadcast(
             edges_ds, verts, P,
             dup_op=dup_op, binarize=binarize, symmetrize=symmetrize,
-            drop_self=drop_self, check_src=check_src, t_start=_t0, wdt=wdt,
+            drop_self=drop_self, check_src=check_src, wdt=wdt,
         )
 
     # ---- stage 1: co-grouped by dst partition — resolve membership and
@@ -598,8 +585,6 @@ def build_graph(
     from raygraph.shuffle import exchange, refs_to_dataset
 
     resolved = refs_to_dataset(exchange([tagged, verts], P, resolve))
-    timings["resolve"] = _time.perf_counter() - _t0
-    _t1 = _time.perf_counter()
 
     # ---- stage 2: co-grouped by src partition — dedup (dup_op) + one CSR
     # block row per partition
@@ -614,8 +599,7 @@ def build_graph(
 
     stage2_in = ([resolved] if resolved is not None else []) + [verts]
     block_refs = exchange(stage2_in, P, build_block)
-    timings["csr"] = _time.perf_counter() - _t1
-    return _graph_from_block_refs(block_refs, P, timings)
+    return _graph_from_block_refs(block_refs, P)
 
 
 def _emit_block_pos(part, ids, sp, dp, dpos, w, dup_op, binarize,
@@ -782,7 +766,7 @@ def symmetrize_graph(g: "Graph", *, dup_op: str = "first", binarize: bool = True
             continue  # no vertices in q -> no reversed edges can target it
         out_refs[q] = merge.remote(q, block_refs[q], live,
                                    *[splits[p][q] for p in live])
-    return _graph_from_block_refs(out_refs, P, {"symmetrize": 0.0})
+    return _graph_from_block_refs(out_refs, P)
 
 
 def edges_from_pages(pages_ds, concurrency=(1, 8), urls_ds=None):

@@ -15,24 +15,24 @@ Join-based semantics (SURVEY.md §1.5 mapping table):
   extract     = join against an index table (reference graphblas/core/expr.py:288)
   assign      = groupby(target).reduce + merge (reference graphblas/core/expr.py:261)
 
-Large-vector joins use a bucketed co-group: every side is tagged with
-``bucket = mix64(v) % B`` and all sides ride ONE ``groupby(bucket)``
-shuffle, joined per bucket with numpy/pandas — the explicit partitioned
-hash join, no driver-side or broadcast joins for the big-big case.
-Grouped reductions go through :func:`salted_aggregate`, which splits hot
-keys across ``salt`` sub-keys before the final combine (power-law skew
-handling for raw COO reduce paths).
+Every keyed join and grouped reduce in this module (and in
+``multival.py``) is one hash co-group, :func:`_cogroup`: each side is
+tagged with ``bucket = part_of(key, B)`` and its side id, all sides ride
+ONE ``groupby(bucket)`` shuffle, and each bucket is joined with numpy —
+the explicit partitioned hash join, no driver-side or broadcast joins
+for the big-big case. Grouped reductions (:func:`salted_aggregate`)
+pre-combine per block before that shuffle, so a hub key reaches its
+final reduce as at most one row per input block.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 import pandas as pd
 import pyarrow as pa
 
 from raygraph.ops import BINARY, MONOID, SEMIRING, UNARY, PositionalMul
+from raygraph.util import mix64, pair_part, part_of
 
 
 def _mul_vals(sr, a_vals, b_vals, *, fi, fj, si, sj) -> np.ndarray:
@@ -51,14 +51,16 @@ def _mul_vals(sr, a_vals, b_vals, *, fi, fj, si, sj) -> np.ndarray:
     # native dtype, no float64 force: int64 operands stay int64-exact
     # above 2^53 (matrix dtype fidelity, reference get_typed_op)
     return np.asarray(mul(a_vals, b_vals))
-from raygraph.util import mix64
 
-# Global engine config (reference gb.config, §2.5): the tuning knobs are
-# env-overridable GRAFT_* variables resolved at import (the same pattern
-# graph.py uses for GRAFT_BROADCAST_VERTS_MAX) — a cluster operator
-# re-tunes partitioning/broadcast thresholds per deployment without
-# touching call sites.
-_DEFAULT_BUCKETS = int(os.environ.get("GRAFT_NUM_BUCKETS", "64"))
+
+# hash buckets of every co-group (reference gb.config, §2.5: one engine
+# constant; call sites that know their data pass ``num_buckets``)
+_DEFAULT_BUCKETS = 64
+
+
+def _col(t: "pa.Table", name: str, dt=None) -> "np.ndarray":
+    """One column of a batch as numpy, cast to ``dt`` when given."""
+    return np.asarray(t[name].to_numpy(zero_copy_only=False), dt)
 
 
 def _wcol(t: "pa.Table", dt=None) -> "np.ndarray":
@@ -117,33 +119,23 @@ def to_table(x, sort_by: str | None = "v") -> pa.Table:
 # ------------------------------------------------------------ reductions ----
 
 
-def salted_aggregate(ds, key: str, val: str, monoid_name: str, *, salt: int = 0, alias: str | None = None):
-    """groupby(key).reduce(monoid) with optional hot-key salting.
+def salted_aggregate(ds, key: str, val: str, monoid_name: str, *, alias: str | None = None):
+    """groupby(key).reduce(monoid), key and value dtypes preserved exactly.
 
     Shape: per-block partial combine (segmented ufunc.reduceat, cheap and
-    associative), then ONE shuffle keyed by ``mix64(key) % B`` int32
-    buckets with a vectorized segmented final combine per bucket. Never
-    Ray's native ``groupby(key)``: a full-range uint64 key (splitmix64
-    vertex ids ≥ 2^63) round-trips through Python there and comes back as
-    a pickled-object extension column — unsortable, un-Arrow (found by
-    the r4 /verify drive on harvested link ids). Key and value dtypes
-    are preserved exactly. ``salt`` is moot on this path and accepted
-    for compatibility: the per-block partial combine already bounds a
-    hub key's final-reduce rows to one per input block, which is at
-    least as tight as hash%salt sub-keying. Monoid must be
+    associative), then ONE :func:`_cogroup` with a vectorized segmented
+    final combine per bucket. The per-block combine bounds a hub key's
+    final-reduce rows to one per input block. Never Ray's native
+    ``groupby(key)``: a full-range uint64 key (splitmix64 vertex ids ≥
+    2^63) round-trips through Python there and comes back as a
+    pickled-object extension column — unsortable, un-Arrow (found by the
+    r4 /verify drive on harvested link ids). Monoid must be
     associative+commutative (all registered ones are).
     """
     alias = alias or val
-    ds = _ds(ds)
     m = MONOID[monoid_name]
-    num_buckets = _DEFAULT_BUCKETS
 
-    def seg_reduce(t: pa.Table, vcol: str, tag_bucket: bool) -> pa.Table:
-        a = np.asarray(t[vcol].to_numpy(zero_copy_only=False))
-        k = np.asarray(t[key].to_numpy(zero_copy_only=False))
-        if len(k) == 0:
-            return (pa.table({"_kb": pa.array([], pa.int32()), key: k, alias: a})
-                    if tag_bucket else pa.table({key: k, alias: a}))
+    def seg_reduce(k: np.ndarray, a: np.ndarray) -> dict:
         order = np.argsort(k, kind="stable")
         k_s, a_s = k[order], a[order]
         cast_back = None
@@ -153,34 +145,35 @@ def salted_aggregate(ds, key: str, val: str, monoid_name: str, *, salt: int = 0,
         red = m.ufunc.reduceat(a_s, starts)
         if cast_back is not None:
             red = red.astype(cast_back)
-        ku = k_s[starts]
-        if not tag_bucket:
-            return pa.table({key: ku, alias: red})
-        kb = (mix64(ku.astype(np.uint64)) % np.uint64(num_buckets)).astype(np.int32)
-        return pa.table({"_kb": kb, key: ku, alias: red})
+        return {key: k_s[starts], alias: red}
 
-    partial = ds.map_batches(lambda t: seg_reduce(t, val, True),
-                             batch_format="pyarrow")
-    return partial.groupby("_kb").map_groups(
-        lambda t: seg_reduce(t, alias, False), batch_format="pyarrow"
-    )
+    return _cogroup(
+        [(ds, lambda t: seg_reduce(_col(t, key), _col(t, val)))],
+        lambda g: pa.table(seg_reduce(g[key], g[alias])), key=key)
 
 
-def reduce_rowwise(edges, monoid_name: str = "plus", *, salt: int = 0):
+def reduce_rowwise(edges, monoid_name: str = "plus"):
     """A.reduce_rowwise(monoid) -> Vector keyed by src (reference matrix.py:2553)."""
-    out = salted_aggregate(_ds(edges), "src", "w", monoid_name, salt=salt, alias="val")
+    out = salted_aggregate(_ds(edges), "src", "w", monoid_name, alias="val")
     return out.map_batches(
         lambda t: t.rename_columns(["v" if c == "src" else c for c in t.column_names]),
         batch_format="pyarrow",
     )
 
 
-def reduce_columnwise(edges, monoid_name: str = "plus", *, salt: int = 0):
-    out = salted_aggregate(_ds(edges), "dst", "w", monoid_name, salt=salt, alias="val")
+def reduce_columnwise(edges, monoid_name: str = "plus"):
+    out = salted_aggregate(_ds(edges), "dst", "w", monoid_name, alias="val")
     return out.map_batches(
         lambda t: t.rename_columns(["v" if c == "dst" else c for c in t.column_names]),
         batch_format="pyarrow",
     )
+
+
+def _row_cols(wdt):
+    """Side columns of a row-keyed co-group: (src, dst) as uint64 and w
+    in the matrix's value dtype."""
+    return lambda t: {"src": _col(t, "src", np.uint64),
+                      "dst": _col(t, "dst", np.uint64), "w": _col(t, "w", wdt)}
 
 
 def reduce_rowwise_agg(edges, names: list[str],
@@ -191,7 +184,7 @@ def reduce_rowwise_agg(edges, names: list[str],
     min, max, argmin, argmax (args tie-break to the smallest dst —
     deterministic, same rule as vector_agg).
 
-    Shape: sort_rowwise's layout — ONE mix64(src)-bucketed shuffle, then
+    Shape: sort_rowwise's layout — ONE src-keyed co-group, then
     vectorized lexsorts + reduceat per bucket; no per-row Python groups.
     Returns one row per src with a column per aggregate.
     """
@@ -201,28 +194,8 @@ def reduce_rowwise_agg(edges, names: list[str],
         raise KeyError(f"reduce_rowwise_agg: unsupported {sorted(bad)}")
     wdt = _val_dtype_of(edges, "w")  # min/max stay int64-exact above 2^53
 
-    def tag(t: pa.Table) -> pa.Table:
-        s = np.asarray(t["src"].to_numpy(zero_copy_only=False), np.uint64)
-        return pa.table({
-            "bucket": (mix64(s) % np.uint64(num_buckets)).astype(np.int32),
-            "src": s,
-            "dst": np.asarray(t["dst"].to_numpy(zero_copy_only=False), np.uint64),
-            "w": np.asarray(
-                np.asarray(t["w"].to_numpy(zero_copy_only=False)), wdt),
-        })
-
-    def stats(g: pa.Table) -> pa.Table:
-        s = np.asarray(g["src"].to_numpy(zero_copy_only=False), np.uint64)
-        d = np.asarray(g["dst"].to_numpy(zero_copy_only=False), np.uint64)
-        w = np.asarray(g["w"].to_numpy(zero_copy_only=False), wdt)
-        cols: dict = {"v": pa.array([], pa.uint64())}
-        if len(s) == 0:
-            for n in names:
-                cols[n] = pa.array(
-                    [], pa.int64() if n in ("count", "argmin", "argmax")
-                    else pa.float64() if n == "mean"
-                    else pa.from_numpy_dtype(wdt))
-            return pa.table(cols)
+    def stats(g: dict) -> pa.Table:
+        s, d, w = g["src"], g["dst"], g["w"]
         order = np.lexsort((d, w, s))   # group-first row = argmin (dst ties)
         ss, dd, ww = s[order], d[order], w[order]
         new = np.r_[True, ss[1:] != ss[:-1]]
@@ -249,8 +222,8 @@ def reduce_rowwise_agg(edges, names: list[str],
             out["argmax"] = dm[mstarts].astype(np.int64)
         return pa.table({k: out[k] for k in ["v"] + names})
 
-    return (_ds(edges).map_batches(tag, batch_format="pyarrow")
-            .groupby("bucket").map_groups(stats, batch_format="pyarrow"))
+    return _cogroup([(edges, _row_cols(wdt))], stats, key="src",
+                    num_buckets=num_buckets)
 
 
 def reduce_scalar(x, monoid_name: str = "plus", col: str | None = None):
@@ -462,12 +435,12 @@ def transpose(edges):
 
 
 # above this many vector elements the broadcast fast path is refused and
-# the vector rides the bucketed co-group shuffle instead (~32 MB of
-# (ids, vals) per task fetch at the limit)
-_BROADCAST_MAX = int(os.environ.get("GRAFT_MXV_BROADCAST_MAX", "2000000"))
+# the vector rides the co-group shuffle instead (~32 MB of (ids, vals)
+# per task fetch at the limit)
+_BROADCAST_MAX = 2_000_000
 
 
-def mxv(edges, vec, semiring: str = "plus_times", *, salt: int = 0,
+def mxv(edges, vec, semiring: str = "plus_times", *,
         distribute: str = "auto", num_buckets: int = _DEFAULT_BUCKETS,
         input_mask=None, input_mask_complement: bool = False,
         mask=None, mask_complement: bool = False,
@@ -482,82 +455,59 @@ def mxv(edges, vec, semiring: str = "plus_times", *, salt: int = 0,
     ``broadcast`` — materialize the vector on the driver and ``ray.put``
     it once (searchsorted lookup per batch; SURVEY.md §4 'broadcast small
     sides'); valid ONLY for driver-sized vectors. ``cogroup`` — the
-    vector is never materialized: both sides are bucketed by the join key
-    and ride ONE groupby(bucket) shuffle (the same partitioned hash join
-    ewise_* uses). ``auto`` broadcasts an in-memory table under
-    ``_BROADCAST_MAX`` elements and co-groups everything else (any
-    Dataset input co-groups — its size is unknown without executing it).
-    For the co-partitioned CSR-block path used by iterative algorithms
-    see engine.spmv.
+    vector is never materialized: both sides ride ONE :func:`_cogroup`
+    on the join key (the same partitioned hash join ewise_* uses).
+    ``auto`` broadcasts an in-memory table under ``_BROADCAST_MAX``
+    elements and co-groups everything else (any Dataset input co-groups
+    — its size is unknown without executing it). For the co-partitioned
+    CSR-block path used by iterative algorithms see engine.spmv.
     """
     if input_mask is not None:
         vec = vector_semijoin(vec, input_mask,
                               complement=input_mask_complement,
                               num_buckets=num_buckets)
     return _mxv_impl(edges, vec, semiring, gather_on="dst", reduce_on="src",
-                     salt=salt, distribute=distribute, num_buckets=num_buckets,
+                     distribute=distribute, num_buckets=num_buckets,
                      mask=mask, mask_complement=mask_complement,
                      mask_value=mask_value)
 
 
-def vxm(vec, edges, semiring: str = "plus_times", *, salt: int = 0,
+def vxm(vec, edges, semiring: str = "plus_times", *,
         distribute: str = "auto", num_buckets: int = _DEFAULT_BUCKETS,
         mask=None, mask_complement: bool = False, mask_value: bool = False):
     """w[j] = ⊕_i v[i] ⊗ A[i,j] (reference vector.py:1259)."""
     return _mxv_impl(edges, vec, semiring, gather_on="src", reduce_on="dst",
-                     salt=salt, distribute=distribute, num_buckets=num_buckets,
+                     distribute=distribute, num_buckets=num_buckets,
                      mask=mask, mask_complement=mask_complement,
                      mask_value=mask_value)
 
 
-def _mxv_cogroup(edges, vec, sr, *, gather_on, reduce_on, salt, num_buckets,
-                 mask=None, mask_complement=False, mask_value=False,
+def _mxv_cogroup(edges, vec, sr, *, gather_on, reduce_on, num_buckets,
                  dt=np.float64):
     """Shuffle-join form of mxv: no driver materialization of either side.
 
-    Tag edges with bucket = mix64(gather key) % B and the vector with
-    bucket = mix64(v) % B; one groupby(bucket) co-locates each vector
-    element with every edge that needs it; the per-bucket join is a
-    sorted searchsorted lookup + local ⊕-combine, then the global
-    salted reduce on the output key."""
+    Edges keyed by the gather column and the vector keyed by v ride one
+    co-group, which puts each vector element with every edge that needs
+    it; the per-bucket join is a sorted searchsorted lookup + local
+    ⊕-combine on the output key (the caller finishes the reduce)."""
     from raygraph.ops import local_combine
 
-    monoid = sr.monoid
     out_dt = _sr_out_dtype(sr, dt)
     # vxm gathers on src: the vector is then the FIRST ⊗ operand
     # (reference vector.py:1259 f(u_i, a_ij) vs matrix.py:2163 f(a_ij, u_j))
     vec_first = gather_on == "src"
 
-    def tag_edges(t: pa.Table) -> pa.Table:
-        g = np.asarray(t[gather_on].to_numpy(zero_copy_only=False), np.uint64)
-        r = np.asarray(t[reduce_on].to_numpy(zero_copy_only=False), np.uint64)
-        w = _wcol(t, dt)
-        return pa.table({
-            "bucket": (mix64(g) % np.uint64(num_buckets)).astype(np.int32),
-            "k": g, "y": r, "x": w,
-            "side": np.full(len(g), 0, np.int8),
-        })
+    def edge_cols(t: pa.Table) -> dict:
+        return {"k": _col(t, gather_on, np.uint64),
+                "y": _col(t, reduce_on, np.uint64), "x": _wcol(t, dt)}
 
-    def tag_vec(t: pa.Table) -> pa.Table:
-        v = np.asarray(t["v"].to_numpy(zero_copy_only=False), np.uint64)
-        val = np.asarray(
-            np.asarray(t["val"].to_numpy(zero_copy_only=False)), dt)
-        return pa.table({
-            "bucket": (mix64(v) % np.uint64(num_buckets)).astype(np.int32),
-            "k": v, "y": np.zeros(len(v), np.uint64), "x": val,
-            "side": np.full(len(v), 1, np.int8),
-        })
+    def vec_cols(t: pa.Table) -> dict:
+        return {"k": _col(t, "v", np.uint64),
+                "y": np.zeros(t.num_rows, np.uint64), "x": _col(t, "val", dt)}
 
-    u = _ds(edges).map_batches(tag_edges, batch_format="pyarrow").union(
-        _ds(vec).map_batches(tag_vec, batch_format="pyarrow")
-    )
-
-    def join(g: pa.Table) -> pa.Table:
-        k = np.asarray(g["k"].to_numpy(zero_copy_only=False), np.uint64)
-        y = np.asarray(g["y"].to_numpy(zero_copy_only=False), np.uint64)
-        x = np.asarray(g["x"].to_numpy(zero_copy_only=False), dt)
-        side = np.asarray(g["side"].to_numpy(zero_copy_only=False), np.int8)
-        isv = side == 1
+    def join(g: dict) -> pa.Table:
+        k, y, x = g["k"], g["y"], g["x"]
+        isv = g["side"] == 1
         vk, vv = k[isv], x[isv]
         order = np.argsort(vk)
         vk, vv = vk[order], vv[order]
@@ -571,22 +521,14 @@ def _mxv_cogroup(edges, vec, sr, *, gather_on, reduce_on, salt, num_buckets,
             val = _mul_vals(sr, vvv, ew[ok], fi=0, fj=ekk, si=ekk, sj=eyy)
         else:          # mxv: f(a_ij, u_j)
             val = _mul_vals(sr, ew[ok], vvv, fi=eyy, fj=ekk, si=ekk, sj=0)
-        kk, cv = local_combine(monoid, eyy, val)
+        kk, cv = local_combine(sr.monoid, eyy, val)
         return pa.table({"v": kk, "val": cv})
 
-    contrib = u.groupby("bucket").map_groups(join, batch_format="pyarrow")
-    if mask is not None:
-        # output-mask PUSHDOWN (reference w(mask) << A.mxv(v)): dropped
-        # BEFORE the final grouped reduce, so masked-out keys never ride
-        # the aggregate shuffle and unmasked w is never materialized.
-        # mask_value -> reference ValueMask (truthy entries; mask.py:149)
-        contrib = vector_semijoin(contrib, mask, complement=mask_complement,
-                                  value_mask=mask_value,
-                                  num_buckets=num_buckets)
-    return salted_aggregate(contrib, "v", "val", monoid.name, salt=salt, alias="val")
+    return _cogroup([(edges, edge_cols), (vec, vec_cols)], join, key="k",
+                    num_buckets=num_buckets)
 
 
-def _mxv_impl(edges, vec, semiring, *, gather_on, reduce_on, salt,
+def _mxv_impl(edges, vec, semiring, *, gather_on, reduce_on,
               distribute="auto", num_buckets=_DEFAULT_BUCKETS,
               mask=None, mask_complement=False, mask_value=False):
     import ray
@@ -602,50 +544,51 @@ def _mxv_impl(edges, vec, semiring, *, gather_on, reduce_on, salt,
         small = isinstance(vec, pa.Table) and vec.num_rows <= _BROADCAST_MAX
         distribute = "broadcast" if small else "cogroup"
     if distribute == "cogroup":
-        return _mxv_cogroup(edges, vec, sr, gather_on=gather_on,
-                            reduce_on=reduce_on, salt=salt,
-                            num_buckets=num_buckets, mask=mask,
-                            mask_complement=mask_complement,
-                            mask_value=mask_value, dt=dt)
-    vt = to_table(vec)
-    vs = np.asarray(vt["v"].to_numpy(zero_copy_only=False), np.uint64)
-    vv = np.asarray(
-        np.asarray(vt["val"].to_numpy(zero_copy_only=False)), dt)
-    order = np.argsort(vs)
-    ref = ray.put((vs[order], vv[order]))
+        contrib = _mxv_cogroup(edges, vec, sr, gather_on=gather_on,
+                               reduce_on=reduce_on, num_buckets=num_buckets,
+                               dt=dt)
+    else:
+        vt = to_table(vec)
+        vs = _col(vt, "v", np.uint64)
+        vv = _col(vt, "val", dt)
+        order = np.argsort(vs)
+        ref = ray.put((vs[order], vv[order]))
 
-    from raygraph.ops import local_combine
+        from raygraph.ops import local_combine
 
-    monoid = sr.monoid
-    vec_first = gather_on == "src"  # vxm: vector is the FIRST ⊗ operand
+        vec_first = gather_on == "src"  # vxm: vector is the FIRST ⊗ operand
 
-    def scatter(t: pa.Table) -> pa.Table:
-        ids, vals = ray.get(ref)
-        g = np.asarray(t[gather_on].to_numpy(zero_copy_only=False), np.uint64)
-        r = np.asarray(t[reduce_on].to_numpy(zero_copy_only=False), np.uint64)
-        w = _wcol(t, dt)
-        if len(ids) == 0 or len(g) == 0:
-            return _empty_vv(out_dt)
-        pos = np.searchsorted(ids, g)
-        ok = (pos < len(ids)) & (ids[np.minimum(pos, len(ids) - 1)] == g)
-        r, w, g, pos = r[ok], w[ok], g[ok], pos[ok]
-        xv = vals[np.minimum(pos, len(vals) - 1)]
-        if vec_first:  # vxm: f(u_i, a_ij)
-            val = _mul_vals(sr, xv, w, fi=0, fj=g, si=g, sj=r)
-        else:          # mxv: f(a_ij, u_j)
-            val = _mul_vals(sr, w, xv, fi=r, fj=g, si=g, sj=0)
-        k, v = local_combine(monoid, r, val)  # per-batch combiner
-        return pa.table({"v": k, "val": v})
+        def scatter(t: pa.Table) -> pa.Table:
+            ids, vals = ray.get(ref)
+            g = _col(t, gather_on, np.uint64)
+            r = _col(t, reduce_on, np.uint64)
+            w = _wcol(t, dt)
+            if len(ids) == 0 or len(g) == 0:
+                return _empty_vv(out_dt)
+            pos = np.searchsorted(ids, g)
+            ok = (pos < len(ids)) & (ids[np.minimum(pos, len(ids) - 1)] == g)
+            r, w, g, pos = r[ok], w[ok], g[ok], pos[ok]
+            xv = vals[np.minimum(pos, len(vals) - 1)]
+            if vec_first:  # vxm: f(u_i, a_ij)
+                val = _mul_vals(sr, xv, w, fi=0, fj=g, si=g, sj=r)
+            else:          # mxv: f(a_ij, u_j)
+                val = _mul_vals(sr, w, xv, fi=r, fj=g, si=g, sj=0)
+            k, v = local_combine(sr.monoid, r, val)  # per-batch combiner
+            return pa.table({"v": k, "val": v})
 
-    contrib = _ds(edges).map_batches(scatter, batch_format="pyarrow")
+        contrib = _ds(edges).map_batches(scatter, batch_format="pyarrow")
     if mask is not None:
+        # output-mask PUSHDOWN (reference w(mask) << A.mxv(v)): dropped
+        # BEFORE the final grouped reduce, so masked-out keys never ride
+        # the aggregate shuffle and unmasked w is never materialized.
+        # mask_value -> reference ValueMask (truthy entries; mask.py:149)
         contrib = vector_semijoin(contrib, mask, complement=mask_complement,
                                   value_mask=mask_value,
                                   num_buckets=num_buckets)
-    return salted_aggregate(contrib, "v", "val", monoid.name, salt=salt, alias="val")
+    return salted_aggregate(contrib, "v", "val", sr.monoid.name, alias="val")
 
 
-# --------------------------------------------------- bucketed co-group join ----
+# ------------------------------------------------------- hash co-group ----
 
 
 def _val_dtype_of(x, val_col: str = "val") -> np.dtype:
@@ -663,72 +606,101 @@ def _val_dtype_of(x, val_col: str = "val") -> np.dtype:
     return np.dtype(schema.field(val_col).type.to_pandas_dtype())
 
 
-def _common_dtype(sides, val_col: str = "val") -> np.dtype:
-    """numpy promotion over all sides' value dtypes — the reference's typed
-    operator resolution (graphblas/core/dtypes.py:16 unify / get_typed_op).
-    int64 payloads stay int64 end-to-end: no silent float64 round-trip
-    above 2^53 (VERDICT r1 'What's missing' #2)."""
-    return np.result_type(*(np.dtype(_val_dtype_of(ds, val_col)) for ds, _ in sides))
+def _key_cols(key) -> tuple:
+    """A co-group key as a tuple of column names: ``"v"`` or ``("src", "dst")``."""
+    return (key,) if isinstance(key, str) else tuple(key)
 
 
-def _tag(ds, side: int, key: str, num_buckets: int, dtype, val_col: str = "val"):
-    def fn(t: pa.Table) -> pa.Table:
-        v = np.asarray(t[key].to_numpy(zero_copy_only=False), np.uint64)
-        val = (
-            np.asarray(t[val_col].to_numpy(zero_copy_only=False)).astype(dtype)
-            if val_col in t.column_names
-            else np.ones(len(v), dtype)
-        )
-        return pa.table(
-            {
-                "bucket": (mix64(v) % np.uint64(num_buckets)).astype(np.int32),
-                "v": v,
-                "val": val,
-                "side": np.full(len(v), side, np.int8),
-            }
-        )
+def _cogroup(sides: list, fn, *, key="v", num_buckets: int = _DEFAULT_BUCKETS):
+    """The one hash co-group of the GraphBLAS kernels: every keyed join
+    and grouped reduce here, in ``multival`` and in
+    ``algorithms.triangles`` runs through it.
 
-    return _ds(ds).map_batches(fn, batch_format="pyarrow")
+    ``sides`` is a list of ``(dataset_or_table, cols)``, where
+    ``cols(batch) -> dict`` of numpy columns (``None`` keeps the batch's
+    own columns); every side emits the same names and dtypes. Side i is
+    tagged ``side = i`` and ``bucket = util.part_of(key)`` —
+    ``util.pair_part`` for a ``(src, dst)`` key — the sides are unioned in
+    order, and ONE ``groupby(bucket).map_groups`` calls ``fn(g)`` per
+    non-empty bucket, ``g`` being the bucket's columns (``side``
+    included) as typed numpy arrays; ``fn`` returns a ``pa.Table``.
+
+    Mechanism: Ray's sort-based groupby. On one CPU it beat the raw-task
+    :func:`raygraph.shuffle.exchange` at 64 buckets on small inputs
+    (median of 5: 0.29 vs 0.75 s at 2k rows in 4 blocks, 0.64 vs 1.15 s
+    at 200k rows in 8 blocks), while the exchange won at 2M rows in 16
+    parts — the choice by input size belongs here, in one place.
+    """
+    keys = _key_cols(key)
+
+    def tagger(cols, side: int):
+        def tag(t: pa.Table) -> pa.Table:
+            c = cols(t) if cols is not None else {n: _col(t, n) for n in t.column_names}
+            k = [c[n] for n in keys]
+            bucket = (part_of(k[0], num_buckets) if len(k) == 1
+                      else pair_part(k[0], k[1], num_buckets))
+            return pa.table({"bucket": bucket, **c,
+                             "side": np.full(len(bucket), side, np.int8)})
+
+        return tag
+
+    u = None
+    for i, (ds, cols) in enumerate(sides):
+        tagged = _ds(ds).map_batches(tagger(cols, i), batch_format="pyarrow")
+        u = tagged if u is None else u.union(tagged)
+    return u.groupby("bucket").map_groups(
+        lambda g: fn({n: _col(g, n) for n in g.column_names if n != "bucket"}),
+        batch_format="pyarrow")
 
 
-def _cogroup(sides: list, fn, num_buckets: int = _DEFAULT_BUCKETS, dtype=None):
-    """Tag each (ds, side_id) with a hash bucket, one groupby(bucket) shuffle,
-    then join the sides per bucket in ``fn(v, val, side) -> Table`` where the
-    arrays keep the promoted value dtype."""
-    dtype = dtype if dtype is not None else _common_dtype(sides)
-    tagged = [_tag(ds, side, "v", num_buckets, dtype) for ds, side in sides]
-    u = tagged[0]
-    for t in tagged[1:]:
-        u = u.union(t)
+def _keyed_cols(key, val: str, dt):
+    """Side columns of a keyed join: the key column(s) as uint64 and
+    ``val`` cast to ``dt`` (all ones when the table has none — a
+    pattern-only side)."""
+    keys = _key_cols(key)
 
-    def gf(g: pa.Table) -> pa.Table:
-        return fn(
-            np.asarray(g["v"].to_numpy(zero_copy_only=False), np.uint64),
-            np.asarray(g["val"].to_numpy(zero_copy_only=False)),
-            np.asarray(g["side"].to_numpy(zero_copy_only=False), np.int8),
-        )
+    def cols(t: pa.Table) -> dict:
+        c = {k: _col(t, k, np.uint64) for k in keys}
+        c[val] = (_col(t, val, dt) if val in t.column_names
+                  else np.ones(t.num_rows, dt))
+        return c
 
-    return u.groupby("bucket").map_groups(gf, batch_format="pyarrow")
+    return cols
 
 
-def _join_sides(v, val, side, n_sides: int, dtype):
-    """Typed multi-way outer join on unique-per-side keys.
+def _join_sides(g: dict, n_sides: int, *, key="v", vals=("val",), unique=()):
+    """Typed multi-way outer join of one co-group bucket on a key that is
+    unique per side.
 
-    One lexsort by (v, side); each key run holds at most one row per side.
-    Returns (keys, has[side, run], vals[side, run]) — presence masks plus
-    a dense per-side value matrix (identity-filled where absent)."""
-    order = np.lexsort((side, v))
-    v, val, side = v[order], val[order], side[order]
-    if len(v) == 0:
-        return v, np.zeros((n_sides, 0), bool), np.zeros((n_sides, 0), dtype)
-    change = np.r_[True, v[1:] != v[:-1]]
+    One lexsort by (key, side); each key run holds at most one row per
+    side. Returns ``(keys, has, fields)``: the run keys (one array per key
+    column), the presence mask ``has[side, run]`` and, per value column,
+    a dense ``[side, run]`` matrix in that column's dtype (zero where
+    absent). A duplicate key within a side listed in ``unique`` raises."""
+    ks = [g[k] for k in _key_cols(key)]
+    side = g["side"]
+    order = np.lexsort((side, *reversed(ks)))
+    ks, side = [k[order] for k in ks], side[order]
+    same = np.ones(len(side) - 1, bool)
+    for k in ks:
+        same &= k[1:] == k[:-1]
+    for s in unique:
+        if (same & (side[1:] == s) & (side[:-1] == s)).any():
+            raise ValueError(
+                f"duplicate ({', '.join(_key_cols(key))}) rows within side "
+                f"{s} of a join that needs entries unique per key "
+                "(pre-combine with salted_aggregate / from_coo dup_op first)")
+    change = np.r_[True, ~same]
     run_id = np.cumsum(change) - 1
     nruns = int(run_id[-1]) + 1
     has = np.zeros((n_sides, nruns), bool)
     has[side, run_id] = True
-    vals = np.zeros((n_sides, nruns), dtype)
-    vals[side, run_id] = val
-    return v[change], has, vals
+    fields = []
+    for name in vals:
+        m = np.zeros((n_sides, nruns), g[name].dtype)
+        m[side, run_id] = g[name][order]
+        fields.append(m)
+    return [k[change] for k in ks], has, fields
 
 
 def _op_result_dtype(op, dtype) -> np.dtype:
@@ -742,69 +714,118 @@ def _empty_vv(dtype) -> pa.Table:
                      "val": pa.array(np.empty(0, dtype))})
 
 
-_EMPTY_VV = pa.table({"v": pa.array([], pa.uint64()), "val": pa.array([], pa.float64())})
+def _ewise(a, b, op_name: str, *, how: str, key="v", val: str = "val",
+           defaults=(), num_buckets: int = _DEFAULT_BUCKETS):
+    """Element-wise op of two vectors (key ``v``) or two matrices (key
+    ``(src, dst)``, value ``w``) over one keyed co-group. ``how``:
+    ``union`` — op where both present, passthrough otherwise; ``mult`` —
+    op on the intersection; ``fill`` — op over the union with an absent
+    side read as its entry of ``defaults``. Typed: the output carries the
+    numpy-promoted dtype of the inputs/op."""
+    op = BINARY[op_name]
+    dt = np.result_type(_val_dtype_of(a, val), _val_dtype_of(b, val),
+                        *(np.asarray(d).dtype for d in defaults))
+    out_dt = _op_result_dtype(op, dt)
+    names = _key_cols(key)
+
+    def join(g: dict) -> pa.Table:
+        keys, has, (x,) = _join_sides(g, 2, key=key, vals=(val,))
+        both = has[0] & has[1]
+        if how == "fill":
+            out = np.asarray(op(np.where(has[0], x[0], np.asarray(defaults[0], dt)),
+                                np.where(has[1], x[1], np.asarray(defaults[1], dt))),
+                             out_dt)
+        else:
+            out = np.where(has[0], x[0], x[1]).astype(out_dt)
+            if both.any():
+                out[both] = op(x[0][both], x[1][both])
+        sel = both if how == "mult" else slice(None)
+        return pa.table({**{n: k[sel] for n, k in zip(names, keys)},
+                         val: out[sel]})
+
+    cols = _keyed_cols(key, val, dt)
+    return _cogroup([(a, cols), (b, cols)], join, key=key,
+                    num_buckets=num_buckets)
 
 
 def ewise_add(a, b, op_name: str = "plus", num_buckets: int = _DEFAULT_BUCKETS):
     """Element-wise UNION: op where both present, passthrough otherwise
     (reference vector.py:1012; docs operations.rst:205-232). Typed: the
     output carries the numpy-promoted dtype of the inputs/op."""
-    op = BINARY[op_name]
-    sides = [(a, 0), (b, 1)]
-    dt = _common_dtype(sides)
-    out_dt = _op_result_dtype(op, dt)
-
-    def join(v, val, side) -> pa.Table:
-        keys, has, vals = _join_sides(v, val, side, 2, dt)
-        if len(keys) == 0:
-            return _empty_vv(out_dt)
-        both = has[0] & has[1]
-        out = np.where(has[0], vals[0], vals[1]).astype(out_dt)
-        if both.any():
-            out[both] = op(vals[0][both], vals[1][both])
-        return pa.table({"v": keys, "val": out})
-
-    return _cogroup(sides, join, num_buckets, dtype=dt)
+    return _ewise(a, b, op_name, how="union", num_buckets=num_buckets)
 
 
 def ewise_mult(a, b, op_name: str = "times", num_buckets: int = _DEFAULT_BUCKETS):
     """Element-wise INTERSECTION (reference vector.py:1077)."""
-    op = BINARY[op_name]
-    sides = [(a, 0), (b, 1)]
-    dt = _common_dtype(sides)
-    out_dt = _op_result_dtype(op, dt)
-
-    def join(v, val, side) -> pa.Table:
-        keys, has, vals = _join_sides(v, val, side, 2, dt)
-        both = has[0] & has[1]
-        if not both.any():
-            return _empty_vv(out_dt)
-        return pa.table({
-            "v": keys[both],
-            "val": np.asarray(op(vals[0][both], vals[1][both]), out_dt),
-        })
-
-    return _cogroup(sides, join, num_buckets, dtype=dt)
+    return _ewise(a, b, op_name, how="mult", num_buckets=num_buckets)
 
 
 def ewise_union(a, b, op_name: str, left_default, right_default,
                 num_buckets: int = _DEFAULT_BUCKETS):
     """Union with fill defaults (reference vector.py:1141; operations.rst:233-249)."""
-    op = BINARY[op_name]
-    sides = [(a, 0), (b, 1)]
-    dt = np.result_type(_common_dtype(sides), np.asarray(left_default).dtype,
-                        np.asarray(right_default).dtype)
-    out_dt = _op_result_dtype(op, dt)
+    return _ewise(a, b, op_name, how="fill",
+                  defaults=(left_default, right_default),
+                  num_buckets=num_buckets)
 
-    def join(v, val, side) -> pa.Table:
-        keys, has, vals = _join_sides(v, val, side, 2, dt)
-        if len(keys) == 0:
-            return _empty_vv(out_dt)
-        va = np.where(has[0], vals[0], np.asarray(left_default, dt))
-        vb = np.where(has[1], vals[1], np.asarray(right_default, dt))
-        return pa.table({"v": keys, "val": np.asarray(op(va, vb), out_dt)})
 
-    return _cogroup(sides, join, num_buckets, dtype=dt)
+def _merge(old, new, *, key, val, mask, complement, value_mask, accum,
+           replace, num_buckets, unique=()):
+    """``C(mask, accum, replace) << new`` on one keyed co-group of old
+    (side 0), new (side 1) and the mask (side 2) — the GrB output-control
+    truth table shared by vector :func:`merge` and :func:`merge_matrix`.
+    A value mask is a structural mask over its truthy entries (under
+    complement too: ¬(entry ∧ truthy) ≡ no truthy entry), so mask rows
+    are filtered to their truthy subset and carry no value downstream."""
+    op = BINARY[accum] if accum else None
+    dt = np.result_type(_val_dtype_of(old, val), _val_dtype_of(new, val))
+    out_dt = _op_result_dtype(op, dt) if op is not None else dt
+    names = _key_cols(key)
+    cols = _keyed_cols(key, val, dt)
+
+    def mask_cols(t: pa.Table) -> dict:
+        c = {k: _col(t, k, np.uint64) for k in names}
+        if value_mask:
+            truthy = _col(t, val) != 0
+            c = {k: x[truthy] for k, x in c.items()}
+        c[val] = np.zeros(len(c[names[0]]), dt)
+        return c
+
+    sides = [(old, cols), (new, cols)]
+    if mask is not None:
+        sides.append((mask, mask_cols))
+
+    def join(g: dict) -> pa.Table:
+        keys, has, (x,) = _join_sides(g, len(sides), key=key, vals=(val,),
+                                      unique=unique)
+        in_o, in_n = has[0].copy(), has[1].copy()
+        if mask is None and replace and op is None:
+            # GrB_replace with no mask and no accum: C = T exactly — every
+            # old element not written by new is cleared (reference
+            # descriptor semantics; ADVICE r1). With accum, Z = C⊙T keeps
+            # the union structure, so replace is a no-op there.
+            in_o[:] = False
+        if mask is not None:
+            allowed = ~has[2] if complement else has[2]
+            in_n &= allowed
+            if op is None:
+                # no accum: within the mask C takes T's pattern EXACTLY
+                # (GraphBLAS C(M) << T, spec §3.5.3 / SuiteSparse masked
+                # assign): an in-mask old element with no new counterpart
+                # is deleted, not kept. With accum, Z = C ⊙ T has the
+                # union pattern, so in-mask old elements survive via Z.
+                in_o &= ~allowed | in_n
+            if replace:
+                in_o &= allowed
+        keep = in_o | in_n
+        out = np.where(in_n, x[1], x[0]).astype(out_dt)
+        if op is not None:
+            both = in_o & in_n
+            if both.any():
+                out[both] = op(x[0][both], x[1][both])
+        return pa.table({**{n: k[keep] for n, k in zip(names, keys)},
+                         val: out[keep]})
+
+    return _cogroup(sides, join, key=key, num_buckets=num_buckets)
 
 
 def merge(old, new, *, mask=None, complement=False, value_mask=False,
@@ -818,58 +839,9 @@ def merge(old, new, *, mask=None, complement=False, value_mask=False,
     outer-joins old and new (op where both). ``replace`` drops old
     elements outside the mask.
     """
-    op = BINARY[accum] if accum else None
-    if mask is not None and value_mask:
-        # binarize mask values BEFORE the cogroup coerces every side to
-        # the data dtype — a fractional mask value (0.5) would truncate
-        # to 0 under an integer dt and silently flip truthiness
-        def _bin(t: pa.Table) -> pa.Table:
-            a = np.asarray(t["val"].to_numpy(zero_copy_only=False))
-            i = t.schema.get_field_index("val")
-            return t.set_column(i, "val", pa.array((a != 0).astype(np.float64)))
-
-        mask = _ds(mask).map_batches(_bin, batch_format="pyarrow")
-    sides = [(old, 0), (new, 1)]
-    if mask is not None:
-        sides.append((mask, 2))
-    dt = _common_dtype(sides[:2])
-    out_dt = _op_result_dtype(op, dt) if op is not None else dt
-    n_sides = len(sides)
-
-    def join(v, val, side) -> pa.Table:
-        keys, has, vals = _join_sides(v, val, side, n_sides, dt)
-        in_o, in_n = has[0].copy(), has[1].copy()
-        if mask is None and replace and op is None:
-            # GrB_replace with no mask and no accum: C = T exactly — every
-            # old element not written by new is cleared (reference
-            # descriptor semantics; ADVICE r1). With accum, Z = C⊙T keeps
-            # the union structure, so replace is a no-op there.
-            in_o[:] = False
-        if mask is not None:
-            allowed = has[2] & (vals[2] != 0) if value_mask else has[2]
-            if complement:
-                allowed = ~allowed
-            in_n &= allowed
-            if op is None:
-                # no accum: within the mask C takes T's pattern EXACTLY
-                # (GraphBLAS C(M) << T, spec §3.5.3 / SuiteSparse masked
-                # assign): an in-mask old element with no new counterpart
-                # is deleted, not kept. With accum, Z = C ⊙ T has the
-                # union pattern, so in-mask old elements survive via Z.
-                in_o &= ~allowed | in_n
-            if replace:
-                in_o &= allowed
-        keep = in_o | in_n
-        if not keep.any():
-            return _empty_vv(out_dt)
-        out = np.where(in_n, vals[1], vals[0]).astype(out_dt)
-        if op is not None:
-            both = in_o & in_n
-            if both.any():
-                out[both] = op(vals[0][both], vals[1][both])
-        return pa.table({"v": keys[keep], "val": out[keep]})
-
-    return _cogroup(sides, join, num_buckets, dtype=dt)
+    return _merge(old, new, key="v", val="val", mask=mask,
+                  complement=complement, value_mask=value_mask, accum=accum,
+                  replace=replace, num_buckets=num_buckets)
 
 
 # ------------------------------------------------------- extract / assign ----
@@ -881,7 +853,7 @@ def vector_semijoin(vec, mask, *, complement: bool = False,
     """Filter ``vec`` by a mask vector's structure (or truthy values) —
     the ``input_mask`` primitive (reference core/base.py:335-343): an
     extract-side INPUT filter, applied before the op rather than to its
-    output. One bucketed co-group; neither side broadcasts.
+    output. One co-group; neither side broadcasts.
 
     The result keeps VEC's value dtype exactly (a float mask can never
     coerce an int64 data column — the >2^53 corruption rule), and the
@@ -890,29 +862,14 @@ def vector_semijoin(vec, mask, *, complement: bool = False,
     (the mxv output-mask pushdown relies on that)."""
     dt = _val_dtype_of(vec)
 
-    def tag(ds, side: int, zero_val: bool):
-        def fn(t: pa.Table) -> pa.Table:
-            v = np.asarray(t["v"].to_numpy(zero_copy_only=False), np.uint64)
-            if zero_val:
-                a = np.asarray(t["val"].to_numpy(zero_copy_only=False))
-                val = (a != 0).astype(dt) if value_mask else np.ones(len(a), dt)
-            else:
-                val = np.asarray(t["val"].to_numpy(zero_copy_only=False)).astype(dt)
-            return pa.table({
-                "bucket": (mix64(v) % np.uint64(num_buckets)).astype(np.int32),
-                "v": v, "val": val,
-                "side": np.full(len(v), side, np.int8),
-            })
+    def mask_cols(t: pa.Table) -> dict:
+        a = _col(t, "val")
+        return {"v": _col(t, "v", np.uint64),
+                "val": (a != 0).astype(dt) if value_mask else np.ones(len(a), dt)}
 
-        return _ds(ds).map_batches(fn, batch_format="pyarrow")
-
-    u = tag(vec, 0, False).union(tag(mask, 1, True))
-
-    def join(g: pa.Table) -> pa.Table:
-        v = np.asarray(g["v"].to_numpy(zero_copy_only=False), np.uint64)
-        val = np.asarray(g["val"].to_numpy(zero_copy_only=False))
-        side = np.asarray(g["side"].to_numpy(zero_copy_only=False), np.int8)
-        ism = side == 1
+    def join(g: dict) -> pa.Table:
+        v, val = g["v"], g["val"]
+        ism = g["side"] == 1
         # allowed mask keys (truthy-valued when value_mask)
         mk = v[ism]
         if value_mask:
@@ -927,11 +884,10 @@ def vector_semijoin(vec, mask, *, complement: bool = False,
             at = np.searchsorted(mk, dv)
             member = (at < len(mk)) & (mk[np.minimum(at, len(mk) - 1)] == dv)
         keep = ~member if complement else member
-        if not keep.any():
-            return _empty_vv(dt)
         return pa.table({"v": dv[keep], "val": dval[keep]})
 
-    return u.groupby("bucket").map_groups(join, batch_format="pyarrow")
+    return _cogroup([(vec, _keyed_cols("v", "val", dt)), (mask, mask_cols)],
+                    join, num_buckets=num_buckets)
 
 
 def extract(vec, index: np.ndarray, *, remap: bool = True,
@@ -954,39 +910,19 @@ def extract(vec, index: np.ndarray, *, remap: bool = True,
                               num_buckets=num_buckets)
     idx = np.asarray(index, np.uint64)
     dt = _val_dtype_of(vec)
-    # bespoke tagged union: the index side carries its output position in
-    # a dedicated int64 column so positions never round-trip through the
-    # value dtype (a float64 position corrupts above 2^53)
-    index_tbl = pa.table({
-        "bucket": (mix64(idx) % np.uint64(num_buckets)).astype(np.int32),
-        "v": idx,
-        "val": np.zeros(len(idx), dt),
-        "pos": np.arange(len(idx), dtype=np.int64),
-        "side": np.full(len(idx), 1, np.int8),
-    })
+    # the index side carries its output position in a dedicated int64
+    # column so positions never round-trip through the value dtype (a
+    # float64 position corrupts above 2^53)
+    index_tbl = pa.table({"v": idx, "val": np.zeros(len(idx), dt),
+                          "pos": np.arange(len(idx), dtype=np.int64)})
 
-    def tag_vec(t: pa.Table) -> pa.Table:
-        v = np.asarray(t["v"].to_numpy(zero_copy_only=False), np.uint64)
-        return pa.table({
-            "bucket": (mix64(v) % np.uint64(num_buckets)).astype(np.int32),
-            "v": v,
-            "val": np.asarray(t["val"].to_numpy(zero_copy_only=False)).astype(dt),
-            "pos": np.full(len(v), -1, np.int64),
-            "side": np.zeros(len(v), np.int8),
-        })
+    def vec_cols(t: pa.Table) -> dict:
+        return {"v": _col(t, "v", np.uint64), "val": _col(t, "val", dt),
+                "pos": np.full(t.num_rows, -1, np.int64)}
 
-    import ray.data as rd
-
-    u = _ds(vec).map_batches(tag_vec, batch_format="pyarrow").union(
-        rd.from_arrow(index_tbl)
-    )
-
-    def join(g: pa.Table) -> pa.Table:
-        v = np.asarray(g["v"].to_numpy(zero_copy_only=False), np.uint64)
-        val = np.asarray(g["val"].to_numpy(zero_copy_only=False))
-        pos = np.asarray(g["pos"].to_numpy(zero_copy_only=False), np.int64)
-        side = np.asarray(g["side"].to_numpy(zero_copy_only=False), np.int8)
-        isv = side == 0
+    def join(g: dict) -> pa.Table:
+        v, val, pos = g["v"], g["val"], g["pos"]
+        isv = g["side"] == 0
         vk, vv = v[isv], val[isv]
         order = np.argsort(vk)
         vk, vv = vk[order], vv[order]
@@ -998,73 +934,46 @@ def extract(vec, index: np.ndarray, *, remap: bool = True,
         key = (wpos[ok].astype(np.uint64) if remap else wk[ok])
         return pa.table({"v": key, "val": vv[at[ok]]})
 
-    return u.groupby("bucket").map_groups(join, batch_format="pyarrow")
+    return _cogroup([(vec, vec_cols), (index_tbl, None)], join,
+                    num_buckets=num_buckets)
 
 
 def _gather_matrix_axis(ds, index: np.ndarray, key_col: str,
                         num_buckets: int = _DEFAULT_BUCKETS):
     """One axis of A[rows, cols]: join edge rows' ``key_col`` against a
     (possibly duplicate) index vector and REPLACE the key with the index
-    position (dup indices fan out). Same bucketed co-group shape as the
-    vector ``extract`` (kernels.py:680) — the edge side never broadcasts
-    and never leaves its bucket."""
+    position (dup indices fan out). Same co-group shape as the vector
+    :func:`extract` — the edge side never broadcasts and never leaves its
+    bucket."""
     other_col = "dst" if key_col == "src" else "src"
     dt = _val_dtype_of(ds, "w")
     idx = np.asarray(index, np.uint64)
-    index_tbl = pa.table({
-        "bucket": (mix64(idx) % np.uint64(num_buckets)).astype(np.int32),
-        "k": idx,
-        "o": np.zeros(len(idx), np.uint64),
-        "w": np.zeros(len(idx), dt),
-        "pos": np.arange(len(idx), dtype=np.int64),
-        "side": np.full(len(idx), 1, np.int8),
-    })
+    index_tbl = pa.table({"k": idx, "o": np.zeros(len(idx), np.uint64),
+                          "w": np.zeros(len(idx), dt),
+                          "pos": np.arange(len(idx), dtype=np.int64)})
 
-    def tag_edges(t: pa.Table) -> pa.Table:
-        k = np.asarray(t[key_col].to_numpy(zero_copy_only=False), np.uint64)
-        return pa.table({
-            "bucket": (mix64(k) % np.uint64(num_buckets)).astype(np.int32),
-            "k": k,
-            "o": np.asarray(t[other_col].to_numpy(zero_copy_only=False), np.uint64),
-            "w": np.asarray(
-                np.asarray(t["w"].to_numpy(zero_copy_only=False)), dt),
-            "pos": np.full(len(k), -1, np.int64),
-            "side": np.zeros(len(k), np.int8),
-        })
+    def edge_cols(t: pa.Table) -> dict:
+        return {"k": _col(t, key_col, np.uint64),
+                "o": _col(t, other_col, np.uint64), "w": _col(t, "w", dt),
+                "pos": np.full(t.num_rows, -1, np.int64)}
 
-    import ray.data as rd
-
-    u = _ds(ds).map_batches(tag_edges, batch_format="pyarrow").union(
-        rd.from_arrow(index_tbl))
-
-    def join(g: pa.Table) -> pa.Table:
-        k = np.asarray(g["k"].to_numpy(zero_copy_only=False), np.uint64)
-        o = np.asarray(g["o"].to_numpy(zero_copy_only=False), np.uint64)
-        w = np.asarray(g["w"].to_numpy(zero_copy_only=False), dt)
-        pos = np.asarray(g["pos"].to_numpy(zero_copy_only=False), np.int64)
-        side = np.asarray(g["side"].to_numpy(zero_copy_only=False), np.int8)
-        isv = side == 1
+    def join(g: dict) -> pa.Table:
+        k, o, w, pos = g["k"], g["o"], g["w"], g["pos"]
+        isv = g["side"] == 1
         ik, ipos = k[isv], pos[isv]
         order = np.argsort(ik, kind="stable")
         ik, ipos = ik[order], ipos[order]
         ek, eo, ew = k[~isv], o[~isv], w[~isv]
-        empty = pa.table({key_col: pa.array([], pa.uint64()),
-                          other_col: pa.array([], pa.uint64()),
-                          "w": pa.array(np.empty(0, dt))})
-        if len(ik) == 0 or len(ek) == 0:
-            return empty
         left = np.searchsorted(ik, ek, "left")
-        right = np.searchsorted(ik, ek, "right")
-        cnt = right - left
+        cnt = np.searchsorted(ik, ek, "right") - left
         tot = int(cnt.sum())
-        if tot == 0:
-            return empty
         rep = np.repeat(np.arange(len(ek)), cnt)
         offs = np.arange(tot) - np.repeat(np.cumsum(cnt) - cnt, cnt)
         pos_out = ipos[np.repeat(left, cnt) + offs].astype(np.uint64)
         return pa.table({key_col: pos_out, other_col: eo[rep], "w": ew[rep]})
 
-    return u.groupby("bucket").map_groups(join, batch_format="pyarrow")
+    return _cogroup([(ds, edge_cols), (index_tbl, None)], join, key="k",
+                    num_buckets=num_buckets)
 
 
 def extract_submatrix(edges, rows: np.ndarray, cols: np.ndarray,
@@ -1072,8 +981,8 @@ def extract_submatrix(edges, rows: np.ndarray, cols: np.ndarray,
     """``A[rows, cols]`` — 2-D submatrix extract with index remap
     (reference core/expr.py:288, core/matrix.py:2906): result entry
     (p, q) = A[rows[p], cols[q]]; duplicate indices fan out. Two
-    bucketed co-group joins, one per axis — never a broadcast of the
-    edge side, never a materialized intermediate on the driver."""
+    co-group joins, one per axis — never a broadcast of the edge side,
+    never a materialized intermediate on the driver."""
     step1 = _gather_matrix_axis(edges, rows, "src", num_buckets)
     return _gather_matrix_axis(step1, cols, "dst", num_buckets)
 
@@ -1083,101 +992,15 @@ def merge_matrix(old, new, *, mask=None, complement: bool = False,
                  replace: bool = False,
                  num_buckets: int = _DEFAULT_BUCKETS):
     """Matrix-keyed output control ``C(mask, accum, replace) << new`` — the
-    2-D sibling of the vector ``merge`` truth table above (reference
+    2-D sibling of the vector :func:`merge`, same truth table (reference
     core/mask.py:149,185 ValueMask/ComplementedValueMask + the replace
     descriptor bit core/descriptor.py:68-80, applied to Matrix outputs in
-    core/base.py:192-260). One (src,dst)-bucketed shuffle carries all
-    sides; each side must be entry-unique per (src,dst) — duplicate rows
-    within a side raise instead of silently miscombining (ADVICE r3)."""
-    op = BINARY[accum] if accum else None
-    dt = np.result_type(_val_dtype_of(old, "w"), _val_dtype_of(new, "w"))
-    out_dt = _op_result_dtype(op, dt) if op is not None else dt
-
-    def tag(ds, side: int):
-        def fn(t: pa.Table) -> pa.Table:
-            s = np.asarray(t["src"].to_numpy(zero_copy_only=False), np.uint64)
-            d = np.asarray(t["dst"].to_numpy(zero_copy_only=False), np.uint64)
-            if side == 2:
-                # a value mask is a structural mask over its truthy subset
-                # (holds under complement too: ¬(entry ∧ truthy) ≡ no
-                # truthy entry); mask rows carry no value downstream
-                w = np.asarray(t["w"].to_numpy(zero_copy_only=False))
-                if value_mask:
-                    keep = w != 0
-                    s, d = s[keep], d[keep]
-                w = np.zeros(len(s), dt)
-            else:
-                w = np.asarray(
-                    np.asarray(t["w"].to_numpy(zero_copy_only=False)), dt)
-            with np.errstate(over="ignore"):
-                bk = (mix64(s * np.uint64(0x9E3779B97F4A7C15) ^ d)
-                      % np.uint64(num_buckets)).astype(np.int32)
-            return pa.table({
-                "bucket": bk, "src": s, "dst": d, "w": w,
-                "side": np.full(len(s), side, np.int8),
-            })
-
-        return _ds(ds).map_batches(fn, batch_format="pyarrow")
-
-    has_mask = mask is not None
-
-    def join(g: pa.Table) -> pa.Table:
-        s = np.asarray(g["src"].to_numpy(zero_copy_only=False), np.uint64)
-        d = np.asarray(g["dst"].to_numpy(zero_copy_only=False), np.uint64)
-        w = np.asarray(g["w"].to_numpy(zero_copy_only=False), dt)
-        side = np.asarray(g["side"].to_numpy(zero_copy_only=False), np.int8)
-        empty = _empty_edges(out_dt)
-        if len(s) == 0:
-            return empty
-        order = np.lexsort((side, d, s))
-        s, d, w, side = s[order], d[order], w[order], side[order]
-        newg = np.r_[True, (s[1:] != s[:-1]) | (d[1:] != d[:-1])]
-        starts = np.flatnonzero(newg)
-        ngroups = len(starts)
-        counts = np.diff(np.r_[starts, len(s)])
-        gid = np.repeat(np.arange(ngroups), counts)
-        has = []
-        vals = []
-        for x in (0, 1, 2):
-            m = side == x
-            per = np.bincount(gid[m], minlength=ngroups)
-            if x != 2 and (per > 1).any():
-                raise ValueError(
-                    "merge_matrix: duplicate (src,dst) rows within the "
-                    f"{'old' if x == 0 else 'new'} side — matrix entries "
-                    "must be unique per key (pre-combine with "
-                    "salted_aggregate / from_coo dup_op first)")
-            hx = per > 0
-            vx = np.zeros(ngroups, dt)
-            vx[gid[m]] = w[m]  # ≤1 row per group for sides 0/1
-            has.append(hx)
-            vals.append(vx)
-        in_o, in_n = has[0].copy(), has[1].copy()
-        if not has_mask and replace and op is None:
-            in_o[:] = False  # GrB replace, no mask/accum: C = T exactly
-        if has_mask:
-            allowed = ~has[2] if complement else has[2]
-            in_n &= allowed
-            if op is None:
-                # in-mask C takes T's pattern exactly (spec §3.5.3)
-                in_o &= ~allowed | in_n
-            if replace:
-                in_o &= allowed
-        keep = in_o | in_n
-        if not keep.any():
-            return empty
-        out = np.where(in_n, vals[1], vals[0]).astype(out_dt, copy=False)
-        if op is not None:
-            both = in_o & in_n
-            if both.any():
-                out[both] = op(vals[0][both], vals[1][both])
-        return pa.table({"src": s[starts][keep], "dst": d[starts][keep],
-                         "w": out[keep]})
-
-    u = tag(old, 0).union(tag(new, 1))
-    if has_mask:
-        u = u.union(tag(mask, 2))
-    return u.groupby("bucket").map_groups(join, batch_format="pyarrow")
+    core/base.py:192-260). One (src,dst)-keyed co-group carries all
+    sides; old and new must be entry-unique per (src,dst) — duplicate
+    rows within either raise instead of silently miscombining (ADVICE r3)."""
+    return _merge(old, new, key=("src", "dst"), val="w", mask=mask,
+                  complement=complement, value_mask=value_mask, accum=accum,
+                  replace=replace, num_buckets=num_buckets, unique=(0, 1))
 
 
 def assign_submatrix(c_edges, rows: np.ndarray, cols: np.ndarray, a_edges,
@@ -1262,48 +1085,41 @@ def assign_submatrix(c_edges, rows: np.ndarray, cols: np.ndarray, a_edges,
 def assign_reduce(vec, targets: "pa.Table", dup_monoid: str = "min",
                   accum: str | None = "min", num_buckets: int = _DEFAULT_BUCKETS):
     """C(accum)[I] << values with duplicate targets combined by ``dup_monoid``
-    (the FastSV reduce-assign, SURVEY.md §2.1 'assign' row): a salted
+    (the FastSV reduce-assign, SURVEY.md §2.1 'assign' row): a
     groupby(target) reduction of the updates followed by an accum merge."""
-    updates = salted_aggregate(_ds(targets), "v", "val", dup_monoid, salt=0, alias="val")
+    updates = salted_aggregate(_ds(targets), "v", "val", dup_monoid, alias="val")
     return merge(vec, updates, accum=accum, num_buckets=num_buckets)
+
+
+def _count_mismatches(a, b, bad_in_both, num_buckets) -> int:
+    """Keys present on one side only plus keys where ``bad_in_both(x, y)``
+    flags the two values — one co-group, one scalar per bucket."""
+    dt = np.result_type(_val_dtype_of(a), _val_dtype_of(b))
+
+    def check(g: dict) -> pa.Table:
+        _, has, (x,) = _join_sides(g, 2)
+        both = has[0] & has[1]
+        bad = int((~both).sum()) + int(bad_in_both(x[0][both], x[1][both]).sum())
+        return pa.table({"bad": pa.array([bad], pa.int64())})
+
+    cols = _keyed_cols("v", "val", dt)
+    out = _cogroup([(a, cols), (b, cols)], check, num_buckets=num_buckets)
+    return sum(r["bad"] for r in out.take_all())
 
 
 def isequal(a, b, num_buckets: int = _DEFAULT_BUCKETS) -> bool:
     """Structural + value equality of two vectors (reference matrix.py:357,
     vector.py:329 — the conformance predicate). Distributed anti-join
     emptiness check: any bucket with a one-sided or unequal element fails."""
-
-    sides = [(a, 0), (b, 1)]
-    dt = _common_dtype(sides)
-
-    def check(v, val, side) -> pa.Table:
-        keys, has, vals = _join_sides(v, val, side, 2, dt)
-        both = has[0] & has[1]
-        bad = int((~both).sum()) + int((vals[0][both] != vals[1][both]).sum())
-        return pa.table({"bad": pa.array([bad], pa.int64())})
-
-    out = _cogroup(sides, check, num_buckets, dtype=dt)
-    return sum(r["bad"] for r in out.take_all()) == 0
+    return _count_mismatches(a, b, np.not_equal, num_buckets) == 0
 
 
 def isclose(a, b, *, rel_tol: float = 1e-7, abs_tol: float = 0.0,
             num_buckets: int = _DEFAULT_BUCKETS) -> bool:
     """Same structure + allclose values (reference matrix.py:400)."""
-
-    sides = [(a, 0), (b, 1)]
-    dt = _common_dtype(sides)
-
-    def check(v, val, side) -> pa.Table:
-        keys, has, vals = _join_sides(v, val, side, 2, dt)
-        both = has[0] & has[1]
-        bad = int((~both).sum()) + int(
-            (~np.isclose(vals[0][both], vals[1][both],
-                         rtol=rel_tol, atol=abs_tol)).sum()
-        )
-        return pa.table({"bad": pa.array([bad], pa.int64())})
-
-    out = _cogroup(sides, check, num_buckets, dtype=dt)
-    return sum(r["bad"] for r in out.take_all()) == 0
+    return _count_mismatches(
+        a, b, lambda x, y: ~np.isclose(x, y, rtol=rel_tol, atol=abs_tol),
+        num_buckets) == 0
 
 
 def selectk_rowwise(edges, k: int, *, largest: bool = True,
@@ -1318,8 +1134,8 @@ def selectk_rowwise(edges, k: int, *, largest: bool = True,
     reference's seeded random selectk). Default preserves the old
     boolean: largest when ``largest=True`` else smallest.
 
-    Shape: rides ``sort_rowwise``'s single mix64(src)-bucketed shuffle +
-    one vectorized lexsort with segmented rank per bucket, then keeps
+    Shape: rides ``sort_rowwise``'s single src-keyed co-group + one
+    vectorized lexsort with segmented rank per bucket, then keeps
     ``rank < k`` — no per-row Python groups, so 10^9 rows cost one sort
     per bucket, not 10^9 group invocations."""
     how = how or ("largest" if largest else "smallest")
@@ -1328,30 +1144,15 @@ def selectk_rowwise(edges, k: int, *, largest: bool = True,
                               num_buckets=num_buckets)
 
         def keep(t: pa.Table) -> pa.Table:
-            r = np.asarray(t["rank"].to_numpy(zero_copy_only=False), np.int64)
+            r = _col(t, "rank", np.int64)
             return t.filter(pa.array(r < k)).drop_columns(["rank"])
 
         return ranked.map_batches(keep, batch_format="pyarrow")
     if how not in ("first", "last", "random"):
         raise ValueError(f"selectk_rowwise: unknown how {how!r}")
-    wdt = _val_dtype_of(edges, "w")
 
-    def tag(t: pa.Table) -> pa.Table:
-        s = np.asarray(t["src"].to_numpy(zero_copy_only=False), np.uint64)
-        return pa.table({
-            "bucket": (mix64(s) % np.uint64(num_buckets)).astype(np.int32),
-            "src": s,
-            "dst": np.asarray(t["dst"].to_numpy(zero_copy_only=False), np.uint64),
-            "w": np.asarray(
-                np.asarray(t["w"].to_numpy(zero_copy_only=False)), wdt),
-        })
-
-    def pick(g: pa.Table) -> pa.Table:
-        src = np.asarray(g["src"].to_numpy(zero_copy_only=False), np.uint64)
-        dst = np.asarray(g["dst"].to_numpy(zero_copy_only=False), np.uint64)
-        w = np.asarray(g["w"].to_numpy(zero_copy_only=False), wdt)
-        if len(src) == 0:
-            return pa.table({"src": src, "dst": dst, "w": w})
+    def pick(g: dict) -> pa.Table:
+        src, dst, w = g["src"], g["dst"], g["w"]
         if how == "first":
             key = dst  # stored order ascends dst
         elif how == "last":
@@ -1366,8 +1167,8 @@ def selectk_rowwise(edges, k: int, *, largest: bool = True,
         kf = rank < k
         return pa.table({"src": src[kf], "dst": dst[kf], "w": w[kf]})
 
-    tagged = _ds(edges).map_batches(tag, batch_format="pyarrow")
-    return tagged.groupby("bucket").map_groups(pick, batch_format="pyarrow")
+    return _cogroup([(edges, _row_cols(_val_dtype_of(edges, "w")))], pick,
+                    key="src", num_buckets=num_buckets)
 
 
 def sort_rowwise(edges, *, ascending: bool = True,
@@ -1378,39 +1179,24 @@ def sort_rowwise(edges, *, ascending: bool = True,
     w sorted (ties by ascending dst), rank = 0-based position, and the
     dst column at rank r is the permutation vector P[src, r].
 
-    Shape: ONE shuffle keyed by mix64(src) bucket, then a single
-    vectorized lexsort + segmented rank per bucket — no per-row groups,
-    so a power-law row-degree distribution costs the same as a uniform
-    one (the whole bucket sorts as one array)."""
+    Shape: ONE src-keyed co-group, then a single vectorized lexsort +
+    segmented rank per bucket — no per-row groups, so a power-law
+    row-degree distribution costs the same as a uniform one (the whole
+    bucket sorts as one array)."""
 
-    wdt = _val_dtype_of(edges, "w")
-
-    def tag(t: pa.Table) -> pa.Table:
-        s = np.asarray(t["src"].to_numpy(zero_copy_only=False), np.uint64)
-        b = (mix64(s) % np.uint64(num_buckets)).astype(np.int32)
-        return pa.table({
-            "bucket": b, "src": s,
-            "dst": np.asarray(t["dst"].to_numpy(zero_copy_only=False), np.uint64),
-            "w": np.asarray(
-                np.asarray(t["w"].to_numpy(zero_copy_only=False)), wdt),
-        })
-
-    def srt(g: pd.DataFrame) -> pa.Table:
-        src = g["src"].to_numpy(np.uint64)
-        dst = g["dst"].to_numpy(np.uint64)
-        w = g["w"].to_numpy(wdt)
+    def srt(g: dict) -> pa.Table:
+        src, dst, w = g["src"], g["dst"], g["w"]
         dk = w if ascending else (
             np.invert(w) if w.dtype.kind in "iub" else -w)
         order = np.lexsort((dst, dk, src))
         src, dst, w = src[order], dst[order], w[order]
-        new = np.r_[True, src[1:] != src[:-1]] if len(src) else np.zeros(0, bool)
-        starts = np.flatnonzero(new)
+        starts = np.flatnonzero(np.r_[True, src[1:] != src[:-1]])
         counts = np.diff(np.r_[starts, len(src)])
         rank = np.arange(len(src), dtype=np.int64) - np.repeat(starts, counts)
         return pa.table({"src": src, "rank": rank, "dst": dst, "w": w})
 
-    tagged = _ds(edges).map_batches(tag, batch_format="pyarrow")
-    return tagged.groupby("bucket").map_groups(srt, batch_format="pandas")
+    return _cogroup([(edges, _row_cols(_val_dtype_of(edges, "w")))], srt,
+                    key="src", num_buckets=num_buckets)
 
 
 # ------------------------------------------------------------ prefix scan ----
@@ -1528,6 +1314,8 @@ def scan_vector(vec, monoid_name: str = "plus",
             out = m.ufunc(carry, out).astype(out.dtype, copy=False)
         return pa.table({"v": v, "val": out})
 
+    # range buckets, not _cogroup's hash buckets: the carries need buckets
+    # that follow ascending index order
     return tagged.groupby("bucket").map_groups(scan_bucket, batch_format="pandas")
 
 
@@ -1538,28 +1326,21 @@ def scan_rowwise(edges, monoid_name: str = "plus",
     ss/matrix.py:3701). Output (src, dst, w) where w = running ⊕ of the
     row's stored values up to dst.
 
-    Shape: ONE shuffle keyed by mix64(src) bucket (rows never split), then
-    a single vectorized lexsort + segmented accumulate per bucket — same
+    Shape: ONE src-keyed co-group (rows never split), then a single
+    vectorized lexsort + segmented accumulate per bucket — same
     skew-proof layout as :func:`sort_rowwise`.
     """
     m = MONOID[monoid_name]
 
-    def tag(t: pa.Table) -> pa.Table:
-        s = np.asarray(t["src"].to_numpy(zero_copy_only=False), np.uint64)
-        b = (mix64(s) % np.uint64(num_buckets)).astype(np.int32)
-        return pa.table({"bucket": b, "src": s, "dst": t["dst"], "w": t["w"]})
-
-    def scan_bucket(g: pd.DataFrame) -> pa.Table:
-        src = g["src"].to_numpy(np.uint64)
-        dst = g["dst"].to_numpy(np.uint64)
-        w = g["w"].to_numpy()
+    def scan_bucket(g: dict) -> pa.Table:
+        src, dst, w = g["src"], g["dst"], g["w"]
         order = np.lexsort((dst, src))
         src, dst, w = src[order], dst[order], w[order]
         out = _segmented_accumulate(m.ufunc, w, src)
         return pa.table({"src": src, "dst": dst, "w": out})
 
-    tagged = _ds(edges).map_batches(tag, batch_format="pyarrow")
-    return tagged.groupby("bucket").map_groups(scan_bucket, batch_format="pandas")
+    return _cogroup([(edges, _row_cols(_val_dtype_of(edges, "w")))],
+                    scan_bucket, key="src", num_buckets=num_buckets)
 
 
 # -------------------------------------------------------- reshape/flatten ----
@@ -1730,7 +1511,7 @@ def _match_cost(x, x_key: str, y, y_key: str,
                            np.uint64)
             uk, cnt = np.unique(k, return_counts=True)
             return pa.table({
-                "part": (mix64(uk) % np.uint64(num_buckets)).astype(np.int32),
+                "part": part_of(uk, num_buckets),
                 "k": uk, "c": cnt.astype(np.int64),
                 "side": np.full(len(uk), side, np.int8),
             })
@@ -1795,11 +1576,6 @@ def _mxm_wedge(a_edges, b_edges, sr, num_buckets, mask, complement):
     out_dt = _sr_out_dtype(sr, dt)
     _empty = _empty_edges(out_dt)
 
-    def pb_of(s: np.ndarray, d: np.ndarray) -> np.ndarray:
-        with np.errstate(over="ignore"):
-            return (mix64(s * np.uint64(0x9E3779B97F4A7C15) ^ d)
-                    % np.uint64(P)).astype(np.int32)
-
     def tag(ds, side):
         def fn(t: pa.Table) -> pa.Table:
             key = t["dst" if side == 0 else "src"]
@@ -1807,7 +1583,7 @@ def _mxm_wedge(a_edges, b_edges, sr, num_buckets, mask, complement):
             other = t["src" if side == 0 else "dst"]
             return pa.table(
                 {
-                    "part": (mix64(k) % np.uint64(P)).astype(np.int32),
+                    "part": part_of(k, P),
                     "k": k,
                     "o": np.asarray(other.to_numpy(zero_copy_only=False), np.uint64),
                     "w": _wcol(t, dt),
@@ -1861,7 +1637,7 @@ def _mxm_wedge(a_edges, b_edges, sr, num_buckets, mask, complement):
         starts = np.flatnonzero(new)
         i, j = i[starts], j[starts]
         val = monoid.ufunc.reduceat(val, starts)
-        cols = {"part": pb_of(i, j), "src": i, "dst": j, "w": val}
+        cols = {"part": pair_part(i, j, P), "src": i, "dst": j, "w": val}
         if masked:
             cols["kind"] = np.zeros(len(i), np.int8)
         return pa.table(cols)
@@ -1875,7 +1651,7 @@ def _mxm_wedge(a_edges, b_edges, sr, num_buckets, mask, complement):
         s = np.asarray(t["src"].to_numpy(zero_copy_only=False), np.uint64)
         d = np.asarray(t["dst"].to_numpy(zero_copy_only=False), np.uint64)
         return pa.table({
-            "part": pb_of(s, d),
+            "part": pair_part(s, d, P),
             "src": s, "dst": d,
             "w": np.zeros(len(s), out_dt),
             "kind": np.ones(len(s), np.int8),
@@ -1940,8 +1716,7 @@ def _mxm_wedge(a_edges, b_edges, sr, num_buckets, mask, complement):
 # (≤64 MB per key array at the limit) and A/B prefiltered with a linear
 # searchsorted scan — no full-input shuffle at all. Module-level so tests
 # can pin it to 0 and exercise the exchange path on small fixtures.
-MXM_DOT_BROADCAST_MAX = int(
-    os.environ.get("GRAFT_MXM_DOT_BROADCAST_MAX", "8000000"))
+MXM_DOT_BROADCAST_MAX = 8_000_000
 
 
 def _mxm_dot(a_edges, b_edges, sr, mask, num_buckets):
@@ -2018,7 +1793,7 @@ def _mxm_dot(a_edges, b_edges, sr, mask, num_buckets):
     def tag_a(t: pa.Table) -> pa.Table:
         i = np.asarray(t["src"].to_numpy(zero_copy_only=False), np.uint64)
         return pa.table({
-            "part": (mix64(i) % np.uint64(P)).astype(np.int32),
+            "part": part_of(i, P),
             "i": i,
             "jk": np.asarray(t["dst"].to_numpy(zero_copy_only=False), np.uint64),
             "x": _wcol(t, dt),
@@ -2028,7 +1803,7 @@ def _mxm_dot(a_edges, b_edges, sr, mask, num_buckets):
     def tag_m(t: pa.Table) -> pa.Table:
         i = np.asarray(t["src"].to_numpy(zero_copy_only=False), np.uint64)
         return pa.table({
-            "part": (mix64(i) % np.uint64(P)).astype(np.int32),
+            "part": part_of(i, P),
             "i": i,
             "jk": np.asarray(t["dst"].to_numpy(zero_copy_only=False), np.uint64),
             "x": np.zeros(len(i), dt),
@@ -2064,7 +1839,7 @@ def _mxm_dot(a_edges, b_edges, sr, mask, num_buckets):
         src_a = np.repeat(left, cnt) + offs           # which A row
         k_out = ak[src_a]
         return pa.table({
-            "part": (mix64(k_out) % np.uint64(P)).astype(np.int32),
+            "part": part_of(k_out, P),
             "j": mj[rep], "i": mi[rep], "k": k_out, "x": aw[src_a],
             "side": np.zeros(tot, np.int8),
         })
@@ -2093,7 +1868,7 @@ def _mxm_dot(a_edges, b_edges, sr, mask, num_buckets):
     def tag_b(t: pa.Table) -> pa.Table:
         k = np.asarray(t["src"].to_numpy(zero_copy_only=False), np.uint64)
         return pa.table({
-            "part": (mix64(k) % np.uint64(P)).astype(np.int32),
+            "part": part_of(k, P),
             "j": np.asarray(t["dst"].to_numpy(zero_copy_only=False), np.uint64),
             "i": np.zeros(len(k), np.uint64),
             "k": k,
@@ -2145,10 +1920,8 @@ def _mxm_dot(a_edges, b_edges, sr, mask, num_buckets):
         starts = np.flatnonzero(new)
         ri, rj = ri[starts], rj[starts]
         w = monoid.ufunc.reduceat(val, starts)
-        with np.errstate(over="ignore"):
-            pp = (mix64(ri * np.uint64(0x9E3779B97F4A7C15) ^ rj)
-                  % np.uint64(P)).astype(np.int32)
-        return pa.table({"part": pp, "src": ri, "dst": rj, "w": w})
+        return pa.table({"part": pair_part(ri, rj, P), "src": ri, "dst": rj,
+                         "w": w})
 
     p_refs = exchange(
         [queries, _ds(b_edges).map_batches(tag_b, batch_format="pyarrow")],
@@ -2413,61 +2186,6 @@ def reposition(vec, offset: int):
 # ----------------------------------------------------- matrix ewise ops ----
 
 
-def _edge_cogroup(sides: list, fn, num_buckets: int = _DEFAULT_BUCKETS,
-                  dtype=None):
-    """Bucketed co-group on edge tables keyed (src, dst) — the matrix
-    analog of _cogroup (reference core/matrix.py:1912-2108 ewise family).
-    ``fn(src, dst, w, side) -> Table`` joins each bucket."""
-    dtype = dtype if dtype is not None else np.result_type(
-        *(np.dtype(_val_dtype_of(ds, "w")) for ds, _ in sides))
-
-    def tag(ds, side):
-        def f(t: pa.Table) -> pa.Table:
-            s = np.asarray(t["src"].to_numpy(zero_copy_only=False), np.uint64)
-            d = np.asarray(t["dst"].to_numpy(zero_copy_only=False), np.uint64)
-            w = (np.asarray(t["w"].to_numpy(zero_copy_only=False)).astype(dtype)
-                 if "w" in t.column_names else np.ones(len(s), dtype))
-            with np.errstate(over="ignore"):
-                bk = mix64(s * np.uint64(0x9E3779B97F4A7C15) ^ d) % np.uint64(num_buckets)
-            return pa.table({
-                "bucket": bk.astype(np.int32),
-                "src": s, "dst": d, "w": w,
-                "side": np.full(len(s), side, np.int8),
-            })
-
-        return _ds(ds).map_batches(f, batch_format="pyarrow")
-
-    u = tag(*sides[0])
-    for sd in sides[1:]:
-        u = u.union(tag(*sd))
-
-    def gf(g: pa.Table) -> pa.Table:
-        return fn(
-            np.asarray(g["src"].to_numpy(zero_copy_only=False), np.uint64),
-            np.asarray(g["dst"].to_numpy(zero_copy_only=False), np.uint64),
-            np.asarray(g["w"].to_numpy(zero_copy_only=False)),
-            np.asarray(g["side"].to_numpy(zero_copy_only=False), np.int8),
-        )
-
-    return u.groupby("bucket").map_groups(gf, batch_format="pyarrow")
-
-
-def _join_edge_sides(src, dst, w, side, n_sides: int, dtype):
-    """Typed outer join on (src, dst) composite keys (unique per side)."""
-    order = np.lexsort((side, dst, src))
-    src, dst, w, side = src[order], dst[order], w[order], side[order]
-    if len(src) == 0:
-        return src, dst, np.zeros((n_sides, 0), bool), np.zeros((n_sides, 0), dtype)
-    change = np.r_[True, (src[1:] != src[:-1]) | (dst[1:] != dst[:-1])]
-    run_id = np.cumsum(change) - 1
-    nruns = int(run_id[-1]) + 1
-    has = np.zeros((n_sides, nruns), bool)
-    has[side, run_id] = True
-    vals = np.zeros((n_sides, nruns), dtype)
-    vals[side, run_id] = w
-    return src[change], dst[change], has, vals
-
-
 def _empty_edges(dtype) -> pa.Table:
     return pa.table({"src": pa.array([], pa.uint64()),
                      "dst": pa.array([], pa.uint64()),
@@ -2478,62 +2196,23 @@ def ewise_add_matrix(a, b, op_name: str = "plus",
                      num_buckets: int = _DEFAULT_BUCKETS):
     """Edge-table UNION: op where the (src,dst) cell exists in both,
     passthrough otherwise — graph overlay (reference matrix.py:1912)."""
-    op = BINARY[op_name]
-    sides = [(a, 0), (b, 1)]
-    dt = np.result_type(*(np.dtype(_val_dtype_of(ds, "w")) for ds, _ in sides))
-    out_dt = _op_result_dtype(op, dt)
-
-    def join(src, dst, w, side) -> pa.Table:
-        s, d, has, vals = _join_edge_sides(src, dst, w, side, 2, dt)
-        if len(s) == 0:
-            return _empty_edges(out_dt)
-        both = has[0] & has[1]
-        out = np.where(has[0], vals[0], vals[1]).astype(out_dt)
-        if both.any():
-            out[both] = op(vals[0][both], vals[1][both])
-        return pa.table({"src": s, "dst": d, "w": out})
-
-    return _edge_cogroup(sides, join, num_buckets, dtype=dt)
+    return _ewise(a, b, op_name, how="union", key=("src", "dst"), val="w",
+                  num_buckets=num_buckets)
 
 
 def ewise_mult_matrix(a, b, op_name: str = "times",
                       num_buckets: int = _DEFAULT_BUCKETS):
     """Edge-table INTERSECTION — graph conjunction (reference matrix.py:1980)."""
-    op = BINARY[op_name]
-    sides = [(a, 0), (b, 1)]
-    dt = np.result_type(*(np.dtype(_val_dtype_of(ds, "w")) for ds, _ in sides))
-    out_dt = _op_result_dtype(op, dt)
-
-    def join(src, dst, w, side) -> pa.Table:
-        s, d, has, vals = _join_edge_sides(src, dst, w, side, 2, dt)
-        both = has[0] & has[1]
-        if not both.any():
-            return _empty_edges(out_dt)
-        return pa.table({"src": s[both], "dst": d[both],
-                         "w": np.asarray(op(vals[0][both], vals[1][both]), out_dt)})
-
-    return _edge_cogroup(sides, join, num_buckets, dtype=dt)
+    return _ewise(a, b, op_name, how="mult", key=("src", "dst"), val="w",
+                  num_buckets=num_buckets)
 
 
 def ewise_union_matrix(a, b, op_name: str, left_default, right_default,
                        num_buckets: int = _DEFAULT_BUCKETS):
     """Edge-table union with fill defaults (reference matrix.py:2044)."""
-    op = BINARY[op_name]
-    sides = [(a, 0), (b, 1)]
-    dt = np.result_type(
-        *(np.dtype(_val_dtype_of(ds, "w")) for ds, _ in sides),
-        np.asarray(left_default).dtype, np.asarray(right_default).dtype)
-    out_dt = _op_result_dtype(op, dt)
-
-    def join(src, dst, w, side) -> pa.Table:
-        s, d, has, vals = _join_edge_sides(src, dst, w, side, 2, dt)
-        if len(s) == 0:
-            return _empty_edges(out_dt)
-        va = np.where(has[0], vals[0], np.asarray(left_default, dt))
-        vb = np.where(has[1], vals[1], np.asarray(right_default, dt))
-        return pa.table({"src": s, "dst": d, "w": np.asarray(op(va, vb), out_dt)})
-
-    return _edge_cogroup(sides, join, num_buckets, dtype=dt)
+    return _ewise(a, b, op_name, how="fill", key=("src", "dst"), val="w",
+                  defaults=(left_default, right_default),
+                  num_buckets=num_buckets)
 
 
 # ------------------------------------------------------ composite aggs ----
@@ -2869,46 +2548,46 @@ def contract(edges, mapping, *, agg: str = "plus", keep_count: bool = True):
     Scale shape: contraction shrinks the keyspace (hosts << urls), so each
     batch is pre-combined locally (lexsort + reduceat on a fused
     ``src*2^32+dst`` key when ids fit 32 bits, else a structured sort) —
-    the groupby exchange then moves one row per distinct contracted edge
-    per batch, never the raw edge stream. Self-loops created by the
-    contraction are kept (standard quotient-graph semantics; drop with
-    :func:`select` ``"offdiag"`` after).
+    the (src, dst)-keyed co-group then moves one row per distinct
+    contracted edge per batch, never the raw edge stream, and finishes
+    with the same reduceat per bucket (never Ray's native
+    ``groupby().aggregate``, which returns full-range uint64 ids as
+    pickled objects — see :func:`salted_aggregate`). Self-loops created
+    by the contraction are kept (standard quotient-graph semantics; drop
+    with :func:`select` ``"offdiag"`` after).
     """
-    from ray.data.aggregate import Count, Max, Min, Sum
-
     red = {"plus": np.add, "min": np.minimum, "max": np.maximum}[agg]
 
-    def relabel_combine(t: pa.Table) -> pa.Table:
-        s = mapping(np.asarray(t["src"].to_numpy(zero_copy_only=False),
-                               np.uint64)).astype(np.uint64)
-        d = mapping(np.asarray(t["dst"].to_numpy(zero_copy_only=False),
-                               np.uint64)).astype(np.uint64)
-        w = (np.asarray(t["w"].to_numpy(zero_copy_only=False), np.float64)
-             if "w" in t.column_names else np.ones(len(s)))
+    def combine(s, d, w, m):
+        order = np.lexsort((d, s))
+        s, d, w, m = s[order], d[order], w[order], m[order]
+        new = np.r_[True, (s[1:] != s[:-1]) | (d[1:] != d[:-1])]
+        starts = np.flatnonzero(new)
+        return s[starts], d[starts], red.reduceat(w, starts), np.add.reduceat(m, starts)
+
+    def relabel_combine(t: pa.Table) -> dict:
+        s = mapping(_col(t, "src", np.uint64)).astype(np.uint64)
+        d = mapping(_col(t, "dst", np.uint64)).astype(np.uint64)
+        w = (_col(t, "w", np.float64) if "w" in t.column_names
+             else np.ones(len(s)))
         if len(s) and max(s.max(), d.max()) < (1 << 32):
             key = (s << np.uint64(32)) | d
             order = np.argsort(key, kind="stable")
-            k, sw, sm = key[order], w[order], None
+            k, sw = key[order], w[order]
             starts = np.flatnonzero(np.r_[True, k[1:] != k[:-1]])
             ks = k[starts]
             out_s, out_d = ks >> np.uint64(32), ks & np.uint64(0xFFFFFFFF)
             out_w = red.reduceat(sw, starts)
             cnt = np.diff(np.r_[starts, len(k)]).astype(np.int64)
         else:  # full-range ids: structured lexsort, same combine
-            order = np.lexsort((d, s))
-            ss, dd, sw = s[order], d[order], w[order]
-            new = np.r_[True, (ss[1:] != ss[:-1]) | (dd[1:] != dd[:-1])]
-            starts = np.flatnonzero(new)
-            out_s, out_d = ss[starts], dd[starts]
-            out_w = red.reduceat(sw, starts)
-            cnt = np.diff(np.r_[starts, len(ss)]).astype(np.int64)
-        return pa.table({"src": out_s, "dst": out_d, "w": out_w, "m": cnt})
+            out_s, out_d, out_w, cnt = combine(s, d, w, np.ones(len(s), np.int64))
+        return {"src": out_s, "dst": out_d, "w": out_w, "m": cnt}
 
-    parts = _ds(edges).map_batches(relabel_combine, batch_format="pyarrow")
-    aggs = [{"plus": Sum, "min": Min, "max": Max}[agg]("w", alias_name="w")]
-    if keep_count:
-        aggs.append(Sum("m", alias_name="m"))
-    out = parts.groupby(["src", "dst"]).aggregate(*aggs)
-    if not keep_count:
-        out = out.select_columns(["src", "dst", "w"])
-    return out
+    def final(g: dict) -> pa.Table:
+        s, d, w, m = combine(g["src"], g["dst"], g["w"], g["m"])
+        out = {"src": s, "dst": d, "w": w}
+        if keep_count:
+            out["m"] = m
+        return pa.table(out)
+
+    return _cogroup([(edges, relabel_combine)], final, key=("src", "dst"))

@@ -15,8 +15,8 @@ one vectorized kernel, split back out), so the hot path stays Arrow ->
 numpy with no Python-object rows.
 
 Join-based semantics mirror kernels.py exactly (ewise_add = outer join,
-ewise_mult = inner join); the bucketed co-group shuffle is the same
-single ``groupby(bucket)`` exchange, generalized to k value columns.
+ewise_mult = inner join); every join and grouped reduce here is the same
+hash co-group, :func:`raygraph.kernels._cogroup`, with k value columns.
 """
 
 from __future__ import annotations
@@ -26,83 +26,7 @@ from typing import Callable
 import numpy as np
 import pyarrow as pa
 
-from raygraph.kernels import _DEFAULT_BUCKETS, _ds
-from raygraph.util import mix64
-
-
-# ------------------------------------------------- generic k-column cogroup --
-
-
-def _tag_multi(ds, side: int, key: str, num_buckets: int,
-               val_cols: tuple[str, ...], field_dts=None):
-    """Tag one side with its hash bucket; value columns ride as val_0..k
-    in their registered per-field dtypes (float64 when unregistered)."""
-    field_dts = field_dts or (np.float64,) * len(val_cols)
-
-    def fn(t: pa.Table) -> pa.Table:
-        v = np.asarray(t[key].to_numpy(zero_copy_only=False), np.uint64)
-        cols = {
-            "bucket": (mix64(v) % np.uint64(num_buckets)).astype(np.int32),
-            "v": v,
-            "side": np.full(len(v), side, np.int8),
-        }
-        for i, c in enumerate(val_cols):
-            cols[f"val_{i}"] = np.asarray(
-                np.asarray(t[c].to_numpy(zero_copy_only=False)),
-                field_dts[i])
-        return pa.table(cols)
-
-    return _ds(ds).map_batches(fn, batch_format="pyarrow")
-
-
-def _cogroup_multi(sides: list, fn, val_cols: tuple[str, ...],
-                   num_buckets: int = _DEFAULT_BUCKETS, field_dts=None):
-    """One groupby(bucket) shuffle over all sides; per bucket calls
-    ``fn(v, vals: list[np.ndarray], side) -> pa.Table``."""
-    field_dts = field_dts or (np.float64,) * len(val_cols)
-    tagged = [_tag_multi(ds, s, "v", num_buckets, val_cols, field_dts)
-              for ds, s in sides]
-    u = tagged[0]
-    for t in tagged[1:]:
-        u = u.union(t)
-
-    k = len(val_cols)
-
-    def gf(g: pa.Table) -> pa.Table:
-        return fn(
-            np.asarray(g["v"].to_numpy(zero_copy_only=False), np.uint64),
-            [np.asarray(
-                np.asarray(g[f"val_{i}"].to_numpy(zero_copy_only=False)),
-                field_dts[i]) for i in range(k)],
-            np.asarray(g["side"].to_numpy(zero_copy_only=False), np.int8),
-        )
-
-    return u.groupby("bucket").map_groups(gf, batch_format="pyarrow")
-
-
-def _join_sides_multi(v, vals: list, side, n_sides: int):
-    """Multi-way outer join on unique-per-side keys, k value columns.
-
-    Returns (keys, has[side, run], fields: list over k of
-    vals[side, run]) — same contract as kernels._join_sides but with a
-    dense per-side matrix PER FIELD (each field keeps its dtype)."""
-    order = np.lexsort((side, v))
-    v, side = v[order], side[order]
-    vals = [x[order] for x in vals]
-    if len(v) == 0:
-        return v, np.zeros((n_sides, 0), bool), [
-            np.zeros((n_sides, 0), x.dtype) for x in vals]
-    change = np.r_[True, v[1:] != v[:-1]]
-    run_id = np.cumsum(change) - 1
-    nruns = int(run_id[-1]) + 1
-    has = np.zeros((n_sides, nruns), bool)
-    has[side, run_id] = True
-    fields = []
-    for x in vals:
-        m = np.zeros((n_sides, nruns), x.dtype)
-        m[side, run_id] = x
-        fields.append(m)
-    return v[change], has, fields
+from raygraph.kernels import _DEFAULT_BUCKETS, _cogroup, _col, _ds, _join_sides
 
 
 # ------------------------------------------------------- UDT registry ----
@@ -222,9 +146,17 @@ def ewise_udt(a, b, fn: Callable, val_cols,
     column set and per-field dtypes resolve from the registry — or a
     plain tuple of float64 columns."""
     val_cols, field_dts = _resolve_udt(val_cols)
+    # value columns ride as val_0..k (a field may be named v or side)
+    fields_in = tuple(f"val_{i}" for i in range(len(val_cols)))
 
-    def join(v, vals, side) -> pa.Table:
-        keys, has, fields = _join_sides_multi(v, vals, side, 2)
+    def side_cols(t: pa.Table) -> dict:
+        c = {"v": _col(t, "v", np.uint64)}
+        for f, col, fdt in zip(fields_in, val_cols, field_dts):
+            c[f] = _col(t, col, fdt)
+        return c
+
+    def join(g: dict) -> pa.Table:
+        (keys,), has, fields = _join_sides(g, 2, vals=fields_in)
         both = has[0] & has[1]
         if union:
             sel = has[0] | has[1]
@@ -251,8 +183,8 @@ def ewise_udt(a, b, fn: Callable, val_cols,
             cols[c] = np.asarray(out[c], fdt)
         return pa.table(cols)
 
-    return _cogroup_multi([(a, 0), (b, 1)], join, val_cols, num_buckets,
-                          field_dts=field_dts)
+    return _cogroup([(a, side_cols), (b, side_cols)], join,
+                    num_buckets=num_buckets)
 
 
 def apply_udt(x, fn: Callable, val_cols,
@@ -398,105 +330,70 @@ def _cdt(dtype: str):
 
 def _spmv_c(edges, vec, *, gather_on: str, reduce_on: str,
             num_buckets: int, dtype: str):
-    """Shared complex SpMV core: edges and the vector ride ONE bucketed
-    co-group on the contraction key, each bucket does a vectorized
-    searchsorted gather + complex multiply + per-batch combine on the
-    output key (⊕ = plus is component-separable, so re/im partials
-    pre-aggregate independently), then one grouped Sum per component.
+    """Shared complex SpMV core: edges and the vector ride ONE co-group on
+    the contraction key, each bucket does a vectorized searchsorted
+    gather + complex multiply + combine on the output key (⊕ = plus is
+    component-separable, so re/im partials pre-aggregate independently),
+    then a second co-group on the output key sums the partials per
+    component — uint64 keys and the component dtype kept exactly.
     Complex ⊗ = times is commutative, so mxv/vxm share operand order."""
-    from ray.data.aggregate import Sum
-
     zdt, cdt = _cdt(dtype)
 
-    def tag_e(t: pa.Table) -> pa.Table:
-        k = np.asarray(t[gather_on].to_numpy(zero_copy_only=False), np.uint64)
+    def edge_cols(t: pa.Table) -> dict:
+        return {"key": _col(t, gather_on, np.uint64),
+                "out": _col(t, reduce_on, np.uint64),
+                "re": _col(t, "re", cdt), "im": _col(t, "im", cdt)}
+
+    def vec_cols(t: pa.Table) -> dict:
+        return {"key": _col(t, "v", np.uint64),
+                "out": np.zeros(t.num_rows, np.uint64),
+                "re": _col(t, "re", cdt), "im": _col(t, "im", cdt)}
+
+    def sum_by(s, re, im, acc) -> pa.Table:
+        """Σ re, Σ im per key ``s``, accumulated in ``acc``, stored in
+        the layout's component dtype."""
+        order = np.argsort(s, kind="stable")
+        s = s[order]
+        starts = np.flatnonzero(np.r_[len(s) > 0, s[1:] != s[:-1]])
         return pa.table({
-            "bucket": (mix64(k) % np.uint64(num_buckets)).astype(np.int32),
-            "key": k,
-            "out": np.asarray(t[reduce_on].to_numpy(zero_copy_only=False),
-                              np.uint64),
-            "re": np.asarray(
-                np.asarray(t["re"].to_numpy(zero_copy_only=False)), cdt),
-            "im": np.asarray(
-                np.asarray(t["im"].to_numpy(zero_copy_only=False)), cdt),
-            "side": np.zeros(t.num_rows, np.int8),
+            "v": s[starts],
+            "re": np.add.reduceat(re[order].astype(acc), starts).astype(cdt),
+            "im": np.add.reduceat(im[order].astype(acc), starts).astype(cdt),
         })
 
-    def tag_v(t: pa.Table) -> pa.Table:
-        v = np.asarray(t["v"].to_numpy(zero_copy_only=False), np.uint64)
-        return pa.table({
-            "bucket": (mix64(v) % np.uint64(num_buckets)).astype(np.int32),
-            "key": v,
-            "out": np.zeros(len(v), np.uint64),
-            "re": np.asarray(
-                np.asarray(t["re"].to_numpy(zero_copy_only=False)), cdt),
-            "im": np.asarray(
-                np.asarray(t["im"].to_numpy(zero_copy_only=False)), cdt),
-            "side": np.ones(len(v), np.int8),
-        })
-
-    u = _ds(edges).map_batches(tag_e, batch_format="pyarrow").union(
-        _ds(vec).map_batches(tag_v, batch_format="pyarrow"))
-    _empty = pa.table({"v": pa.array([], pa.uint64()),
-                       "re": pa.array(np.empty(0, cdt)),
-                       "im": pa.array(np.empty(0, cdt))})
-
-    def gf(g: pa.Table) -> pa.Table:
-        side = np.asarray(g["side"].to_numpy(zero_copy_only=False), np.int8)
-        key = np.asarray(g["key"].to_numpy(zero_copy_only=False), np.uint64)
-        re = np.asarray(g["re"].to_numpy(zero_copy_only=False), cdt)
-        im = np.asarray(g["im"].to_numpy(zero_copy_only=False), cdt)
-        ev = side == 0
+    def gf(g: dict) -> pa.Table:
+        key, re, im = g["key"], g["re"], g["im"]
+        ev = g["side"] == 0
         vk = key[~ev]
         if len(vk) == 0 or not ev.any():
-            return _empty
+            return sum_by(vk[:0], re[:0], im[:0], cdt)
         vo = np.argsort(vk, kind="stable")
         vk = vk[vo]
         xz = (re[~ev][vo] + 1j * im[~ev][vo]).astype(zdt)
-        ek, eout = key[ev], np.asarray(
-            g["out"].to_numpy(zero_copy_only=False), np.uint64)[ev]
+        ek, eout = key[ev], g["out"][ev]
         pos = np.searchsorted(vk, ek)
         pos_c = np.minimum(pos, len(vk) - 1)
         hit = vk[pos_c] == ek
-        if not hit.any():
-            return _empty
         z = (re[ev][hit] + 1j * im[ev][hit]).astype(zdt) * xz[pos_c[hit]]
-        # per-batch combine on the output key before the grouped exchange
-        s = eout[hit]
-        order = np.argsort(s, kind="stable")
-        s, z = s[order], z[order]
-        starts = np.flatnonzero(np.r_[True, s[1:] != s[:-1]])
-        return pa.table({
-            "v": s[starts],
-            "re": np.add.reduceat(z.real, starts).astype(cdt),
-            "im": np.add.reduceat(z.imag, starts).astype(cdt),
-        })
+        # combine on the output key before the second co-group
+        return sum_by(eout[hit], z.real, z.imag, cdt)
 
-    partials = u.groupby("bucket").map_groups(gf, batch_format="pyarrow")
-    out = partials.groupby("v").aggregate(
-        Sum("re", alias_name="re"), Sum("im", alias_name="im"))
-    if cdt == np.float32:  # Ray's Sum promotes; restore the FC32 layout
-        def back(t: pa.Table) -> pa.Table:
-            return pa.table({
-                "v": t["v"],
-                "re": np.asarray(
-                    t["re"].to_numpy(zero_copy_only=False), np.float32),
-                "im": np.asarray(
-                    t["im"].to_numpy(zero_copy_only=False), np.float32)})
-
-        out = out.map_batches(back, batch_format="pyarrow")
-    return out
+    partials = _cogroup([(edges, edge_cols), (vec, vec_cols)], gf, key="key",
+                        num_buckets=num_buckets)
+    return _cogroup([(partials, None)],
+                    lambda g: sum_by(g["v"], g["re"], g["im"], np.float64),
+                    num_buckets=num_buckets)
 
 
-def mxv_c(edges, vec, *, salt: int = 0,
-          num_buckets: int = _DEFAULT_BUCKETS, dtype: str = "fc64"):
+def mxv_c(edges, vec, *, num_buckets: int = _DEFAULT_BUCKETS,
+          dtype: str = "fc64"):
     """Complex SpMV, plus_times over FC64/FC32: w[i] = Σ_j A[i,j]*x[j]."""
     return _spmv_c(edges, vec, gather_on="dst", reduce_on="src",
                    num_buckets=num_buckets, dtype=dtype)
 
 
-def vxm_c(vec, edges, *, salt: int = 0,
-          num_buckets: int = _DEFAULT_BUCKETS, dtype: str = "fc64"):
+def vxm_c(vec, edges, *, num_buckets: int = _DEFAULT_BUCKETS,
+          dtype: str = "fc64"):
     """Complex vxm, plus_times: w[j] = Σ_i x[i]*A[i,j] (⊗ = complex
     times is commutative, so the SpMV core is shared with mxv_c)."""
     return _spmv_c(edges, vec, gather_on="src", reduce_on="dst",
@@ -508,103 +405,51 @@ def mxm_c(a_edges, b_edges, *, num_buckets: int = _DEFAULT_BUCKETS,
     """Complex matmul, plus_times: C[i,j] = Σ_k A[i,k]*B[k,j] over the
     paired-column layout (reference FC64 mxm; VERDICT r4 Missing #2).
 
-    Same two-exchange Gustavson shape as kernels._mxm_wedge, complex
+    Same two-hop Gustavson shape as kernels._mxm_wedge, complex
     arithmetic per bucket: join A ⋈ B on the contraction key k in one
-    mix64(k)-bucketed co-group (sorted-expansion join, complex multiply,
-    partial ⊕ per (i,j)); then the partials ride a pair-hash-bucketed
-    second exchange where Σ finishes per component. Wedge-volume bound
-    like the real wedge mode — callers with a sparse target mask should
-    structurally pre-filter first."""
+    co-group (sorted-expansion join, complex multiply, partial ⊕ per
+    (i,j)); then the partials ride a (i,j)-keyed second co-group where Σ
+    finishes per component. Wedge-volume bound like the real wedge mode
+    — callers with a sparse target mask should structurally pre-filter
+    first."""
     zdt, cdt = _cdt(dtype)
-    P = int(num_buckets)
-    _empty = pa.table({"src": pa.array([], pa.uint64()),
-                       "dst": pa.array([], pa.uint64()),
-                       "re": pa.array(np.empty(0, cdt)),
-                       "im": pa.array(np.empty(0, cdt))})
 
-    def tag(ds, side):
-        def fn(t: pa.Table) -> pa.Table:
-            k = np.asarray(
-                t["dst" if side == 0 else "src"].to_numpy(
-                    zero_copy_only=False), np.uint64)
-            o = np.asarray(
-                t["src" if side == 0 else "dst"].to_numpy(
-                    zero_copy_only=False), np.uint64)
-            return pa.table({
-                "bucket": (mix64(k) % np.uint64(P)).astype(np.int32),
-                "k": k, "o": o,
-                "re": np.asarray(
-                    np.asarray(t["re"].to_numpy(zero_copy_only=False)), cdt),
-                "im": np.asarray(
-                    np.asarray(t["im"].to_numpy(zero_copy_only=False)), cdt),
-                "side": np.full(t.num_rows, side, np.int8),
-            })
+    def side_cols(key: str, other: str):
+        return lambda t: {"k": _col(t, key, np.uint64), "o": _col(t, other, np.uint64),
+                          "re": _col(t, "re", cdt), "im": _col(t, "im", cdt)}
 
-        return _ds(ds).map_batches(fn, batch_format="pyarrow")
-
-    def join(g: pa.Table) -> pa.Table:
-        k = np.asarray(g["k"].to_numpy(zero_copy_only=False), np.uint64)
-        o = np.asarray(g["o"].to_numpy(zero_copy_only=False), np.uint64)
-        z = (np.asarray(g["re"].to_numpy(zero_copy_only=False), cdt)
-             + 1j * np.asarray(g["im"].to_numpy(zero_copy_only=False), cdt)
-             ).astype(zdt)
-        side = np.asarray(g["side"].to_numpy(zero_copy_only=False), np.int8)
-        isb = side == 1
-        ka, oa, za = k[~isb], o[~isb], z[~isb]
-        kb, ob, zb = k[isb], o[isb], z[isb]
-        empty = pa.table({"bucket2": pa.array([], pa.int32()),
-                          "src": pa.array([], pa.uint64()),
-                          "dst": pa.array([], pa.uint64()),
-                          "re": pa.array(np.empty(0, cdt)),
-                          "im": pa.array(np.empty(0, cdt))})
-        if len(ka) == 0 or len(kb) == 0:
-            return empty
-        order_b = np.argsort(kb, kind="stable")
-        kb, ob, zb = kb[order_b], ob[order_b], zb[order_b]
-        left = np.searchsorted(kb, ka, "left")
-        right = np.searchsorted(kb, ka, "right")
-        cnt = right - left
-        tot = int(cnt.sum())
-        if tot == 0:
-            return empty
-        rep = np.repeat(np.arange(len(ka)), cnt)
-        offs = np.arange(tot) - np.repeat(np.cumsum(cnt) - cnt, cnt)
-        bidx = np.repeat(left, cnt) + offs
-        i, j = oa[rep], ob[bidx]
-        zz = za[rep] * zb[bidx]
+    def sum_pairs(i, j, re, im) -> pa.Table:
         order = np.lexsort((j, i))
-        i, j, zz = i[order], j[order], zz[order]
-        new = np.r_[True, (i[1:] != i[:-1]) | (j[1:] != j[:-1])]
+        i, j, re, im = i[order], j[order], re[order], im[order]
+        new = np.r_[len(i) > 0, (i[1:] != i[:-1]) | (j[1:] != j[:-1])]
         starts = np.flatnonzero(new)
-        re = np.add.reduceat(zz.real, starts).astype(cdt)
-        im = np.add.reduceat(zz.imag, starts).astype(cdt)
-        i, j = i[starts], j[starts]
-        with np.errstate(over="ignore"):
-            b2 = (mix64(i * np.uint64(0x9E3779B97F4A7C15) ^ j)
-                  % np.uint64(P)).astype(np.int32)
-        return pa.table({"bucket2": b2, "src": i, "dst": j,
-                         "re": re, "im": im})
-
-    partial = tag(a_edges, 0).union(tag(b_edges, 1)) \
-        .groupby("bucket").map_groups(join, batch_format="pyarrow")
-
-    def final(g: pa.Table) -> pa.Table:
-        s = np.asarray(g["src"].to_numpy(zero_copy_only=False), np.uint64)
-        d = np.asarray(g["dst"].to_numpy(zero_copy_only=False), np.uint64)
-        re = np.asarray(g["re"].to_numpy(zero_copy_only=False), cdt)
-        im = np.asarray(g["im"].to_numpy(zero_copy_only=False), cdt)
-        if len(s) == 0:
-            return _empty
-        order = np.lexsort((d, s))
-        s, d, re, im = s[order], d[order], re[order], im[order]
-        new = np.r_[True, (s[1:] != s[:-1]) | (d[1:] != d[:-1])]
-        starts = np.flatnonzero(new)
-        return pa.table({"src": s[starts], "dst": d[starts],
+        return pa.table({"src": i[starts], "dst": j[starts],
                          "re": np.add.reduceat(re, starts).astype(cdt),
                          "im": np.add.reduceat(im, starts).astype(cdt)})
 
-    return partial.groupby("bucket2").map_groups(
-        final, batch_format="pyarrow")
+    def join(g: dict) -> pa.Table:
+        k, o = g["k"], g["o"]
+        z = (g["re"] + 1j * g["im"]).astype(zdt)
+        isb = g["side"] == 1
+        ka, oa, za = k[~isb], o[~isb], z[~isb]
+        kb, ob, zb = k[isb], o[isb], z[isb]
+        order_b = np.argsort(kb, kind="stable")
+        kb, ob, zb = kb[order_b], ob[order_b], zb[order_b]
+        left = np.searchsorted(kb, ka, "left")
+        cnt = np.searchsorted(kb, ka, "right") - left
+        tot = int(cnt.sum())
+        rep = np.repeat(np.arange(len(ka)), cnt)
+        offs = np.arange(tot) - np.repeat(np.cumsum(cnt) - cnt, cnt)
+        bidx = np.repeat(left, cnt) + offs
+        zz = za[rep] * zb[bidx]
+        return sum_pairs(oa[rep], ob[bidx], zz.real, zz.imag)
+
+    partial = _cogroup([(a_edges, side_cols("dst", "src")),
+                        (b_edges, side_cols("src", "dst"))], join, key="k",
+                       num_buckets=num_buckets)
+    return _cogroup([(partial, None)],
+                    lambda g: sum_pairs(g["src"], g["dst"], g["re"], g["im"]),
+                    key=("src", "dst"), num_buckets=num_buckets)
 
 
 def reduce_scalar_c(x) -> complex:

@@ -41,6 +41,16 @@ def part_of(ids: np.ndarray, num_parts: int) -> np.ndarray:
     return (mix64(ids) % _U64(num_parts)).astype(np.int32)
 
 
+def pair_part(a: np.ndarray, b: np.ndarray, num_parts: int) -> np.ndarray:
+    """Partition assignment for (src, dst) pair keys: the pair is folded
+    into one word (``a * golden-ratio constant ^ b``, wrapping) and then
+    assigned like a single id."""
+    a = np.asarray(a, dtype=np.uint64)
+    with np.errstate(over="ignore"):
+        return part_of(a * _U64(0x9E3779B97F4A7C15) ^ np.asarray(b, np.uint64),
+                       num_parts)
+
+
 def default_num_parts(target: int | None = None) -> int:
     """Partition count ~2x cores, clamped; deterministic when passed."""
     if target is not None:
