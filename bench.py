@@ -60,6 +60,7 @@ def _ensure_pages():
 
 
 def run_bench() -> dict:
+    import numpy as np
     import ray
 
     ray.init(address="local", num_cpus=NUM_CPUS, include_dashboard=False,
@@ -87,9 +88,10 @@ def run_bench() -> dict:
 
     q: dict[str, float] = {}
     stages: dict[str, dict] = {}
-    # min-of-N per heavy stage, each sample stamped with a same-window
-    # membw probe (VERDICT r2 next #8). Scaling legs keep 1 repeat (the
-    # scaling runner takes its own min across whole-process repeats).
+    # median and IQR of a fixed N samples per heavy stage, each sample
+    # stamped with a same-window membw probe (VERDICT r2 next #8). Scaling
+    # legs keep 1 repeat (the scaling runner takes the median of a fixed
+    # number of whole-process runs).
     repeats = int(os.environ.get(
         "GRAFT_BENCH_REPEATS",
         "1" if os.environ.get("GRAFT_BENCH_HEADLINE") else "2"))
@@ -108,7 +110,8 @@ def run_bench() -> dict:
                 m.free_caches()
 
     def staged(name: str, fn, n: int | None = None):
-        """min-of-N samples, each stamped with a membw reading."""
+        """Median and IQR of a fixed N samples, each stamped with a membw
+        reading; no sample is retried or dropped."""
         samples, bws, result = [], [], None
 
         def one_sample():
@@ -122,9 +125,10 @@ def run_bench() -> dict:
 
         for _ in range(n or repeats):
             one_sample()
-        q[name] = min(samples)
-        stages[name] = {"min": min(samples), "samples": samples,
-                        "membw_gbps": bws}
+        q25, med, q75 = np.percentile(samples, [25, 50, 75])
+        q[name] = round(float(med), 3)
+        stages[name] = {"median": q[name], "iqr": round(float(q75 - q25), 3),
+                        "samples": samples, "membw_gbps": bws}
         return result
 
     # ---- headline: pages -> extract -> graph build -> pagerank
@@ -159,9 +163,9 @@ def run_bench() -> dict:
 
     # the first run pays routing-cache build + block-locality warm-up
     # (measured 44s -> 29s -> 10s on identical input); one extra sample so
-    # min-of-N reflects the steady state an iterating production job sees.
-    # This applies to the scaling legs too: the warm-up is a near-fixed
-    # cost, so a single-sample leg deflates eff(N->4N) artificially.
+    # the median leans to the steady state an iterating production job
+    # sees. This applies to the scaling legs too: the warm-up is a
+    # near-fixed cost, so a single-sample leg deflates eff(N->4N).
     slices, info = staged("pagerank", do_pagerank, n=repeats + 1)
     headline = q["extract_build"] + q["pagerank"]
 
@@ -285,8 +289,6 @@ def run_bench() -> dict:
 
     # ---- frontier BFS from the max-out-degree hub (masked-SpMV path:
     # work is the sum of frontier out-degrees, not D*nnz)
-    import numpy as np
-
     from raygraph.algorithms.paths import bfs_levels
 
     degs = g.deg_slices()
@@ -429,11 +431,7 @@ def run_scaling() -> dict:
     BASELINE.md).
     """
 
-    # quiet-retry per leg (VERDICT r4 next #9): keep re-running a leg while
-    # a fresh process still improves the best by > 10% (the signature of a
-    # loud first window), up to the repeat cap — so a single loud run can't
-    # deflate eff(8->32) the way the historical 0.21-0.45 readings were
-    repeats = int(os.environ.get("GRAFT_SCALING_REPEATS", "3"))
+    repeats = 3  # fixed: each leg reports the median of its runs
 
     def one(ncpu: int) -> dict:
         env = dict(os.environ, RAY_GRAFT_CPUS=str(ncpu), GRAFT_BENCH_HEADLINE="1")
@@ -441,20 +439,16 @@ def run_scaling() -> dict:
         # the supervised --scaling parent would disable the leg's own retry,
         # and one raylet crash in any leg would abort the whole window)
         env.pop("GRAFT_BENCH_SUPERVISED", None)
-        best = None
-        for i in range(repeats):
+        legs = []
+        for _ in range(repeats):
             out = subprocess.run([sys.executable, os.path.abspath(__file__)], env=env,
                                  capture_output=True, text=True, check=True,
                                  cwd=os.path.dirname(os.path.abspath(__file__)))
-            r = json.loads(out.stdout.strip().splitlines()[-1])
-            improved = best is None or r["value"] < best["value"]
-            if improved:
-                prev = best["value"] if best is not None else None
-                best = r
-            if i >= 1 and not (improved and prev is not None
-                               and r["value"] < 0.9 * prev):
-                break  # two consecutive non-improving (or <10%) runs: quiet
-        return best
+            legs.append(json.loads(out.stdout.strip().splitlines()[-1]))
+        legs.sort(key=lambda r: r["value"])
+        med = legs[repeats // 2]
+        med["leg_values"] = [r["value"] for r in legs]
+        return med
 
     runs = {c: one(c) for c in (2, 8, 32)}
 
@@ -485,11 +479,11 @@ def _compact(rec: dict) -> dict:
     The round-4 driver record was lost because the tail buffer cut the head
     off one giant JSON line (VERDICT r4 'What's wrong' #1): the full record
     (sample arrays, membw stamps) now goes to a side file under BENCH/ and
-    ONLY this compact line — headline value, per-stage minima, scalar
+    ONLY this compact line — headline value, per-stage medians, scalar
     receipts — is printed."""
     out = dict(rec)
     if isinstance(out.get("stages"), dict):
-        out["stages"] = {k: v.get("min") if isinstance(v, dict) else v
+        out["stages"] = {k: v.get("median") if isinstance(v, dict) else v
                          for k, v in out["stages"].items()}
     if isinstance(out.get("runs"), dict):  # scaling record: compact each leg
         out["runs"] = {k: _compact(v) for k, v in out["runs"].items()}

@@ -8,23 +8,25 @@ recipes (reference ecosystem: graphblas-algorithms ``k_truss`` /
 ``C(A) << A @ A`` with the plus_pair semiring, and k-core is repeated
 degree-filtering to a fixpoint.
 
-Distributed shape (the part that must survive 100 TB):
+Distributed shape (the part that must survive 100 TB): every exchange
+is one :func:`raygraph.kernels._cogroup`, nothing is broadcast.
 
-* ``sym_edges`` is the same bucketed distinct-pair shuffle used by the
-  triangle counter — per-batch local dedup (combiner) before the ONE
-  grouped exchange; nothing is broadcast.
+* ``lower_pairs`` is the one distinct undirected pair dedup (shared
+  with the masked-mxm triangle counter): per-batch local dedup
+  (combiner), then ONE ``(src, dst)``-keyed co-group; ``sym_edges`` is
+  its output mirrored into both directions.
 * ``edge_support`` delegates to :func:`raygraph.kernels.mxm` with the
   full symmetric edge set as the structural mask, so the wedge-vs-dot
   auto-selection and its intermediate-volume bound apply unchanged.
-* ``kcore`` does TWO grouped exchanges per peel round and nothing on
-  the driver but a row-count convergence check: round r buckets edges
-  by ``src`` (all edges of a vertex land in one group, so its degree
-  is computed *inside* the group and the src-side filter is free),
-  emits surviving edges plus one survivor-vertex row per kept vertex,
-  then re-buckets by ``dst`` and semi-joins edges against the survivor
-  rows riding the same shuffle. The simultaneous-degree rule (both
-  endpoint degrees measured BEFORE this round's removals) matches the
-  textbook peel and the recursive-SQL oracle round for round.
+* ``kcore`` does TWO co-groups per peel round and nothing on the
+  driver but a row-count convergence check: round r groups edges by
+  ``src`` (all edges of a vertex land in one bucket, so its degree is
+  computed *inside* the bucket and the src-side filter is free), emits
+  surviving edges plus one survivor-vertex row per kept vertex, then
+  groups by ``dst`` and semi-joins edges against the survivor rows
+  riding the same co-group. The simultaneous-degree rule (both endpoint
+  degrees measured BEFORE this round's removals) matches the textbook
+  peel and the recursive-SQL oracle round for round.
 """
 
 from __future__ import annotations
@@ -33,53 +35,57 @@ import numpy as np
 import pyarrow as pa
 
 from raygraph import kernels as K
-from raygraph.util import mix64
+from raygraph.util import coalesce_blocks
 
 _B = 64  # shuffle buckets, same default as the triangle counter
 
 
-def sym_edges(edges, *, num_buckets: int = _B):
-    """Distinct symmetric, self-loop-free edge Dataset (src, dst, w=1.0).
+def _distinct(hi: np.ndarray, lo: np.ndarray):
+    """Distinct (hi, lo) pairs, sorted."""
+    order = np.lexsort((lo, hi))
+    hi, lo = hi[order], lo[order]
+    new = np.ones(len(hi), bool)
+    new[1:] = (hi[1:] != hi[:-1]) | (lo[1:] != lo[:-1])
+    return hi[new], lo[new]
 
-    Per-batch local dedup on the unordered pair, ONE bucketed grouped
-    exchange keyed on a mix64 pair hash (full-range uint64 ids), then
-    each surviving undirected pair is emitted in both directions.
+
+def lower_pairs(edges, *, num_buckets: int = _B):
+    """Distinct undirected pairs of any directed edge table as the strict
+    lower triangle (src = max, dst = min, w = 1.0), self-loops dropped.
+
+    Per-batch local dedup (combiner), then ONE ``(src, dst)``-keyed
+    :func:`raygraph.kernels._cogroup`.
     """
 
-    def to_pairs(t: pa.Table) -> pa.Table:
-        s = np.asarray(t["src"].to_numpy(zero_copy_only=False), np.uint64)
-        d = np.asarray(t["dst"].to_numpy(zero_copy_only=False), np.uint64)
+    def to_lower(t: pa.Table) -> dict:
+        s = K._col(t, "src", np.uint64)
+        d = K._col(t, "dst", np.uint64)
         keep = s != d
         s, d = s[keep], d[keep]
-        hi, lo = np.maximum(s, d), np.minimum(s, d)
-        order = np.lexsort((lo, hi))
-        hi, lo = hi[order], lo[order]
-        new = np.r_[True, (hi[1:] != hi[:-1]) | (lo[1:] != lo[:-1])]
-        hi, lo = hi[new], lo[new]
-        with np.errstate(over="ignore"):
-            bk = (mix64(hi * np.uint64(0x9E3779B97F4A7C15) ^ lo)
-                  % np.uint64(num_buckets)).astype(np.int32)
-        return pa.table({"bucket": bk, "src": hi, "dst": lo})
+        hi, lo = _distinct(np.maximum(s, d), np.minimum(s, d))
+        return {"src": hi, "dst": lo}
 
-    def both_dirs(g: pa.Table) -> pa.Table:
-        hi = np.asarray(g["src"].to_numpy(zero_copy_only=False), np.uint64)
-        lo = np.asarray(g["dst"].to_numpy(zero_copy_only=False), np.uint64)
-        order = np.lexsort((lo, hi))
-        hi, lo = hi[order], lo[order]
-        new = np.r_[True, (hi[1:] != hi[:-1]) | (lo[1:] != lo[:-1])]
-        hi, lo = hi[new], lo[new]
-        return pa.table({
-            "src": np.concatenate([hi, lo]),
-            "dst": np.concatenate([lo, hi]),
-            "w": np.ones(2 * len(hi), np.float64),
-        })
+    def dedup(g: dict) -> pa.Table:
+        hi, lo = _distinct(g["src"], g["dst"])
+        return pa.table({"src": hi, "dst": lo,
+                         "w": np.ones(len(hi), np.float64)})
 
-    return (
-        K._ds(edges)
-        .map_batches(to_pairs, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(both_dirs, batch_format="pyarrow")
-    )
+    return K._cogroup([(edges, to_lower)], dedup, key=("src", "dst"),
+                      num_buckets=num_buckets)
+
+
+def sym_edges(edges, *, num_buckets: int = _B):
+    """Distinct symmetric, self-loop-free edge Dataset (src, dst, w=1.0):
+    :func:`lower_pairs` with each pair emitted in both directions."""
+
+    def both_dirs(t: pa.Table) -> pa.Table:
+        hi, lo = K._col(t, "src"), K._col(t, "dst")
+        return pa.table({"src": np.concatenate([hi, lo]),
+                         "dst": np.concatenate([lo, hi]),
+                         "w": np.ones(2 * len(hi), np.float64)})
+
+    return lower_pairs(edges, num_buckets=num_buckets).map_batches(
+        both_dirs, batch_format="pyarrow")
 
 
 def edge_support(edges, *, num_buckets: int = _B):
@@ -118,99 +124,65 @@ def kcore(edges, k: int, *, num_buckets: int = _B, max_rounds: int = 64):
     with either endpoint's *start-of-round* degree < k — until the
     edge count is stable. Two grouped exchanges per round, driver does
     only the O(1) convergence count. Returns a (v:int64) Dataset,
-    empty when the k-core is empty.
+    empty when the k-core is empty; raises RuntimeError when edges are
+    still peeling after ``max_rounds`` rounds.
     """
     if k < 1:
         raise ValueError("kcore: k must be >= 1")
 
-    def by_src(t: pa.Table) -> pa.Table:
-        s = np.asarray(t["src"].to_numpy(zero_copy_only=False), np.uint64)
-        return t.append_column(
-            "bucket", pa.array((s % np.uint64(num_buckets)).astype(np.int32)))
-
-    def peel_src(g: pa.Table) -> pa.Table:
-        """All edges of each src vertex are in this group: compute its
-        degree locally, keep edges of surviving srcs, and emit one
-        side=0 survivor row per kept vertex for the dst-side pass."""
-        s = np.asarray(g["src"].to_numpy(zero_copy_only=False), np.uint64)
-        d = np.asarray(g["dst"].to_numpy(zero_copy_only=False), np.uint64)
-        if len(s) == 0:
-            return pa.table({"side": pa.array([], pa.int8()),
-                             "src": pa.array([], pa.uint64()),
-                             "dst": pa.array([], pa.uint64())})
+    def peel_src(g: dict) -> pa.Table:
+        """All edges of each src vertex are in this bucket: compute its
+        degree here, keep edges of surviving srcs, and emit one (v, v)
+        survivor row per kept vertex for the dst-side semi-join."""
+        s, d = g["src"], g["dst"]
         uniq, inv, cnt = np.unique(s, return_inverse=True, return_counts=True)
         keep = (cnt >= k)[inv]
         surv = uniq[cnt >= k]
         return pa.table({
-            "side": np.r_[np.ones(keep.sum(), np.int8),
-                          np.zeros(len(surv), np.int8)],
             "src": np.concatenate([s[keep], surv]),
-            "dst": np.concatenate([d[keep], np.zeros(len(surv), np.uint64)]),
+            "dst": np.concatenate([d[keep], surv]),
+            "surv": np.r_[np.zeros(keep.sum(), bool), np.ones(len(surv), bool)],
         })
 
-    def by_dst(t: pa.Table) -> pa.Table:
-        side = np.asarray(t["side"].to_numpy(zero_copy_only=False), np.int8)
-        s = np.asarray(t["src"].to_numpy(zero_copy_only=False), np.uint64)
-        d = np.asarray(t["dst"].to_numpy(zero_copy_only=False), np.uint64)
-        key = np.where(side == 1, d, s)
-        return t.append_column(
-            "bucket", pa.array((key % np.uint64(num_buckets)).astype(np.int32)))
-
-    def filter_dst(g: pa.Table) -> pa.Table:
-        side = np.asarray(g["side"].to_numpy(zero_copy_only=False), np.int8)
-        s = np.asarray(g["src"].to_numpy(zero_copy_only=False), np.uint64)
-        d = np.asarray(g["dst"].to_numpy(zero_copy_only=False), np.uint64)
-        surv = np.sort(s[side == 0])
-        es, ed = s[side == 1], d[side == 1]
-        if len(surv) == 0 or len(es) == 0:
-            return pa.table({"src": es[:0], "dst": ed[:0]})
-        pos = np.searchsorted(surv, ed).clip(max=len(surv) - 1)
-        ok = surv[pos] == ed
+    def filter_dst(g: dict) -> pa.Table:
+        e = ~g["surv"]
+        es, ed = g["src"][e], g["dst"][e]
+        ok = np.isin(ed, g["dst"][g["surv"]])
         return pa.table({"src": es[ok], "dst": ed[ok]})
 
     cur = sym_edges(edges, num_buckets=num_buckets).select_columns(
         ["src", "dst"]).materialize()
     n_edges = cur.count()
-    for _ in range(max_rounds):
-        if n_edges == 0:
-            break
-        nxt = (
-            cur.map_batches(by_src, batch_format="pyarrow")
-            .groupby("bucket")
-            .map_groups(peel_src, batch_format="pyarrow")
-            .map_batches(by_dst, batch_format="pyarrow")
-            .groupby("bucket")
-            .map_groups(filter_dst, batch_format="pyarrow")
-            .materialize()
-        )
-        n_next = nxt.count()
-        cur = nxt
+    rounds = 0
+    while n_edges:
+        if rounds == max_rounds:
+            raise RuntimeError(
+                f"kcore: {n_edges} edges still peeling after "
+                f"max_rounds={max_rounds} rounds — raise the bound")
+        peeled = K._cogroup([(cur, None)], peel_src, key="src",
+                            num_buckets=num_buckets)
+        cur = coalesce_blocks(
+            K._cogroup([(peeled, None)], filter_dst, key="dst",
+                       num_buckets=num_buckets).materialize(),
+            max(4, num_buckets // 2))
+        rounds += 1
+        n_next = cur.count()
         if n_next == n_edges:
             break
         n_edges = n_next
-
-    def verts(t: pa.Table) -> pa.Table:
-        s = np.unique(np.asarray(t["src"].to_numpy(zero_copy_only=False),
-                                 np.uint64))
-        return pa.table({
-            "bucket": (s % np.uint64(num_buckets)).astype(np.int32),
-            "v": s.astype(np.int64),
-        })
-
-    def uniq(g: pa.Table) -> pa.Table:
-        v = np.unique(np.asarray(g["v"].to_numpy(zero_copy_only=False),
-                                 np.int64))
-        return pa.table({"v": v})
 
     if n_edges == 0:
         import ray.data as rd
 
         return rd.from_arrow(pa.table({"v": pa.array([], pa.int64())}))
-    return (
-        cur.map_batches(verts, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(uniq, batch_format="pyarrow")
-    )
+
+    def verts(t: pa.Table) -> dict:
+        return {"v": np.unique(K._col(t, "src", np.uint64))}
+
+    def uniq(g: dict) -> pa.Table:
+        return pa.table({"v": np.unique(g["v"]).astype(np.int64)})
+
+    return K._cogroup([(cur, verts)], uniq, key="v", num_buckets=num_buckets)
 
 
 def ktruss(edges, k: int, *, num_buckets: int = _B, max_rounds: int = 16):
@@ -226,7 +198,7 @@ def ktruss(edges, k: int, *, num_buckets: int = _B, max_rounds: int = 16):
     plus a vectorized filter; the driver sees only a per-round edge
     count for the convergence check. Peeling is monotone, so a
     converged state is stable — ``max_rounds`` mirrors the oracle's
-    unroll depth and is far past fixpoint at any tested scale.
+    unroll depth; a truss still peeling after it raises RuntimeError.
 
     Returns the truss's upper-triangle edge table (src < dst).
     """
@@ -234,9 +206,11 @@ def ktruss(edges, k: int, *, num_buckets: int = _B, max_rounds: int = 16):
     sym = sym_edges(edges, num_buckets=num_buckets).materialize()
     n_prev = sym.count()
     rounds = 0
-    for _ in range(max_rounds):
-        if n_prev == 0:
-            break
+    while n_prev:
+        if rounds == max_rounds:
+            raise RuntimeError(
+                f"ktruss: {n_prev} edges still peeling after "
+                f"max_rounds={max_rounds} rounds — raise the bound")
         prod = K.mxm(sym, sym, "plus_times", mask=sym)
 
         def keep(t: pa.Table) -> pa.Table:

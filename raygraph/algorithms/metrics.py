@@ -10,8 +10,8 @@ two use the undirected view.
 
 Distributed shape (the part that must survive 100 TB):
 
-* ``reciprocity`` is ONE bucketed grouped exchange keyed on the
-  unordered-pair hash — per-batch local dedup of directed pairs
+* ``reciprocity`` is ONE :func:`raygraph.kernels._cogroup` keyed on
+  the unordered pair — per-batch local dedup of directed pairs
   (combiner) first, so the shuffle carries distinct pairs, not the raw
   stream. Both directions of a pair land in the same group by
   construction, so reciprocation is decided group-locally; each group
@@ -36,9 +36,8 @@ import numpy as np
 import pyarrow as pa
 
 from raygraph import kernels as K
-from raygraph.algorithms.cores import sym_edges
+from raygraph.algorithms.cores import _distinct, sym_edges
 from raygraph.algorithms.triangles import triangle_count_mxm
-from raygraph.util import mix64
 
 _B = 64
 
@@ -49,46 +48,36 @@ def reciprocity(edges, *, num_buckets: int = _B) -> pa.Table:
     edge also exists. Returns a 1-row table
     (n_edges, n_recip, reciprocity)."""
 
-    def to_keyed(t: pa.Table) -> pa.Table:
-        s = np.asarray(t["src"].to_numpy(zero_copy_only=False), np.uint64)
-        d = np.asarray(t["dst"].to_numpy(zero_copy_only=False), np.uint64)
+    def distinct(hi, lo, bit):
+        order = np.lexsort((bit, lo, hi))
+        hi, lo, bit = hi[order], lo[order], bit[order]
+        new = np.ones(len(hi), bool)
+        new[1:] = ((hi[1:] != hi[:-1]) | (lo[1:] != lo[:-1])
+                   | (bit[1:] != bit[:-1]))
+        return hi[new], lo[new], bit[new]
+
+    def to_keyed(t: pa.Table) -> dict:
+        s = K._col(t, "src", np.uint64)
+        d = K._col(t, "dst", np.uint64)
         keep = s != d
         s, d = s[keep], d[keep]
-        hi, lo = np.maximum(s, d), np.minimum(s, d)
         # direction bit relative to the unordered pair (1: hi->lo, 2: lo->hi)
         bit = np.where(s > d, np.uint8(1), np.uint8(2))
-        order = np.lexsort((bit, lo, hi))
-        hi, lo, bit = hi[order], lo[order], bit[order]
-        new = np.r_[True, (hi[1:] != hi[:-1]) | (lo[1:] != lo[:-1])
-                    | (bit[1:] != bit[:-1])]
-        hi, lo, bit = hi[new], lo[new], bit[new]
-        with np.errstate(over="ignore"):
-            bk = (mix64(hi * np.uint64(0x9E3779B97F4A7C15) ^ lo)
-                  % np.uint64(num_buckets)).astype(np.int32)
-        return pa.table({"bucket": bk, "hi": hi, "lo": lo, "bit": bit})
+        hi, lo, bit = distinct(np.maximum(s, d), np.minimum(s, d), bit)
+        return {"hi": hi, "lo": lo, "bit": bit}
 
-    def count(g: pa.Table) -> pa.Table:
-        hi = np.asarray(g["hi"].to_numpy(zero_copy_only=False), np.uint64)
-        lo = np.asarray(g["lo"].to_numpy(zero_copy_only=False), np.uint64)
-        bit = np.asarray(g["bit"].to_numpy(zero_copy_only=False), np.uint8)
-        order = np.lexsort((bit, lo, hi))
-        hi, lo, bit = hi[order], lo[order], bit[order]
-        new = np.r_[True, (hi[1:] != hi[:-1]) | (lo[1:] != lo[:-1])
-                    | (bit[1:] != bit[:-1])]
-        hi, lo, bit = hi[new], lo[new], bit[new]
+    def count(g: dict) -> pa.Table:
+        hi, lo, _ = distinct(g["hi"], g["lo"], g["bit"])
         n_edges = len(hi)
         # after the directed dedup each unordered pair has 1 or 2 rows;
         # 2 rows == both directions present == 2 reciprocated edges
-        pair_new = np.r_[True, (hi[1:] != hi[:-1]) | (lo[1:] != lo[:-1])]
-        n_pairs = int(pair_new.sum())
+        n_pairs = int(((hi[1:] != hi[:-1]) | (lo[1:] != lo[:-1])).sum()) + 1
         n_recip = 2 * (n_edges - n_pairs)
         return pa.table({"n_edges": pa.array([n_edges], pa.int64()),
                          "n_recip": pa.array([n_recip], pa.int64())})
 
-    parts = (K._ds(edges)
-             .map_batches(to_keyed, batch_format="pyarrow")
-             .groupby("bucket")
-             .map_groups(count, batch_format="pyarrow"))
+    parts = K._cogroup([(edges, to_keyed)], count, key=("hi", "lo"),
+                       num_buckets=num_buckets)
     t = K.to_table(parts, sort_by=None)  # num_buckets partial rows
     ne = int(pa.compute.sum(t["n_edges"]).as_py() or 0)
     nr = int(pa.compute.sum(t["n_recip"]).as_py() or 0)
@@ -496,60 +485,46 @@ def bipartite_project(ds, *, key_col: str, val_col: str,
     share a key, weighted by the number of DISTINCT shared keys.
     Returns Dataset (a, b, n_shared) with a < b.
 
-    Distributed shape: per-batch local (key,val) dedup (combiner), ONE
-    bucketed exchange on ``mix64(key)`` so a key's vals co-locate;
-    in-bucket lexsort segments per key and vectorized i<j pair
-    generation (``pairs_in_segments`` with the degenerate-key cap
-    guard — a key shared by h vals emits h² pairs, so ``cap`` bounds
-    the blowup and is sized far above this data's fan-out); a SECOND
-    coarse-bucketed exchange on the pair hash counts each pair with a
-    lexsort + reduceat — constant group count regardless of pairs.
+    Distributed shape: per-batch local (key, val) dedup (combiner), ONE
+    co-group on ``key`` so a key's vals co-locate; in-bucket lexsort
+    segments per key and vectorized i<j pair generation
+    (``pairs_in_segments``); a SECOND co-group on the ``(a, b)`` pair
+    counts each pair with a lexsort + segment lengths. A key shared by
+    h vals emits h(h-1)/2 pairs, so a key with more than ``cap``
+    distinct vals raises ValueError instead of flooding the second
+    exchange — ``cap`` is sized far above this data's fan-out.
     """
-    from raygraph.util import mix64, pairs_in_segments
+    from raygraph.util import pairs_in_segments
 
-    nb = np.uint64(num_buckets)
+    def tag(t: pa.Table) -> dict:
+        k = K._col(t, key_col, np.int64).astype(np.uint64)
+        v = K._col(t, val_col, np.int64).astype(np.uint64)
+        k, v = _distinct(k, v)
+        return {"k": k, "v": v}
 
-    def tag(t: pa.Table) -> pa.Table:
-        k = np.asarray(t[key_col].to_numpy(zero_copy_only=False),
-                       np.int64).astype(np.uint64)
-        v = np.asarray(t[val_col].to_numpy(zero_copy_only=False),
-                       np.int64).astype(np.uint64)
-        order = np.lexsort((v, k))
-        k, v = k[order], v[order]
-        keep = np.r_[True, (k[1:] != k[:-1]) | (v[1:] != v[:-1])]
-        k, v = k[keep], v[keep]
-        return pa.table({"bucket": (mix64(k) % nb).astype(np.int32),
-                         "k": k, "v": v})
-
-    def pairs(g: pa.Table) -> pa.Table:
-        k = np.asarray(g["k"].to_numpy(zero_copy_only=False), np.uint64)
-        v = np.asarray(g["v"].to_numpy(zero_copy_only=False), np.uint64)
-        order = np.lexsort((v, k))
-        k, v = k[order], v[order]
-        keep = np.r_[True, (k[1:] != k[:-1]) | (v[1:] != v[:-1])]
-        k, v = k[keep], v[keep]
-        new = np.r_[True, k[1:] != k[:-1]]
-        starts = np.flatnonzero(new)
+    def pairs(g: dict) -> pa.Table:
+        k, v = _distinct(g["k"], g["v"])
+        starts = np.flatnonzero(np.r_[True, k[1:] != k[:-1]])
         sizes = np.diff(np.r_[starts, len(k)])
-        a, b = pairs_in_segments(v, starts, sizes, cap=cap)  # pair VALUES
-        lo, hi = np.minimum(a, b), np.maximum(a, b)
-        with np.errstate(over="ignore"):
-            pb = (mix64(lo * np.uint64(0x9E3779B97F4A7C15) ^ hi)
-                  % nb).astype(np.int32)
-        return pa.table({"bucket": pb, "a": lo, "b": hi})
+        i = int(np.argmax(sizes))
+        if sizes[i] > cap:
+            raise ValueError(
+                f"bipartite_project: key {int(k[starts[i]])} is shared by "
+                f"{int(sizes[i])} vals, over cap={cap} — raise cap")
+        # vals are sorted within each key, so every pair has a < b
+        a, b = pairs_in_segments(v, starts, sizes)
+        return pa.table({"a": a, "b": b})
 
-    def count(g: pa.Table) -> pa.Table:
-        a = np.asarray(g["a"].to_numpy(zero_copy_only=False), np.uint64)
-        b = np.asarray(g["b"].to_numpy(zero_copy_only=False), np.uint64)
+    def count(g: dict) -> pa.Table:
+        a, b = g["a"], g["b"]
         order = np.lexsort((b, a))
         a, b = a[order], b[order]
-        new = np.r_[True, (a[1:] != a[:-1]) | (b[1:] != b[:-1])]
-        starts = np.flatnonzero(new)
+        starts = np.flatnonzero(np.r_[True, (a[1:] != a[:-1]) | (b[1:] != b[:-1])])
         n = np.diff(np.r_[starts, len(a)])
         return pa.table({"a": a[starts].astype(np.int64),
                          "b": b[starts].astype(np.int64),
                          "n_shared": n.astype(np.int64)})
 
-    return (ds.map_batches(tag, batch_format="pyarrow")
-            .groupby("bucket").map_groups(pairs, batch_format="pyarrow")
-            .groupby("bucket").map_groups(count, batch_format="pyarrow"))
+    pair_rows = K._cogroup([(ds, tag)], pairs, key="k", num_buckets=num_buckets)
+    return K._cogroup([(pair_rows, None)], count, key=("a", "b"),
+                      num_buckets=num_buckets)

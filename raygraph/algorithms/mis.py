@@ -8,17 +8,19 @@ priorities are replaced with ``mix64(v)`` — a bijection of the vertex
 id, so ties are impossible, the result is a deterministic function of
 the graph, and re-runs / oracle checks reproduce it exactly.
 
-Distributed shape (per round, no driver state but a row-count):
+Distributed shape (per round, no driver state but a row-count; every
+exchange is one :func:`raygraph.kernels._cogroup`): the alive state is
+ONE (src, dst) table — the symmetric edges plus a (v, v) row per alive
+vertex (``sym_edges`` has no self-loops, so the two never collide).
 
-1. ONE grouped exchange keyed on ``mix64(src)`` buckets cogroups the
-   alive symmetric edges with the alive vertex rows; inside each group
-   the per-vertex min-neighbor-priority is a sort + ``minimum.reduceat``
-   and winners (isolated vertices included) are emitted together with
-   the removal set (winner + its neighbors, read off the winner's own
-   edge rows riding the same group).
-2. TWO semi-join exchanges drop removed vertices and any edge touching
-   one (by src bucket, then by dst bucket) — the removal rows ride the
-   same shuffles; nothing is broadcast.
+1. ONE co-group on ``src`` puts each alive vertex with its alive edges;
+   inside each bucket the per-vertex min-neighbor-priority is a sort +
+   ``minimum.reduceat`` and winners (isolated vertices included) are
+   emitted together with the removal set (winner + its neighbors, read
+   off the winner's own edge rows riding the same bucket).
+2. TWO semi-join co-groups drop removed vertices and any row touching
+   one (by src, then by dst) — the removal rows ride the same shuffles;
+   nothing is broadcast.
 
 Luby terminates in O(log n) rounds w.h.p.; the driver checks the alive
 count per round exactly like the k-core peel.
@@ -31,193 +33,96 @@ import pyarrow as pa
 
 from raygraph import kernels as K
 from raygraph.algorithms.cores import sym_edges
-from raygraph.util import mix64
+from raygraph.util import coalesce_blocks, mix64
 
 _B = 64
-_U64 = np.uint64
-
-# row kinds riding the shuffles
-_EDGE, _VERT, _REM = np.int8(0), np.int8(1), np.int8(2)
 
 
-def _tbl(bucket, key, other, side) -> pa.Table:
-    return pa.table({"bucket": bucket.astype(np.int32),
-                     "key": key.astype(np.uint64),
-                     "other": other.astype(np.uint64),
-                     "side": side})
-
-
-def _empty() -> pa.Table:
-    return _tbl(np.empty(0, np.int32), np.empty(0, np.uint64),
-                np.empty(0, np.uint64), np.empty(0, np.int8))
+def _tbl(src, dst) -> pa.Table:
+    return pa.table({"src": np.asarray(src, np.uint64),
+                     "dst": np.asarray(dst, np.uint64)})
 
 
 def maximal_independent_set(edges, *, num_buckets: int = _B,
                             max_rounds: int = 64):
     """MIS vertex Dataset (column ``v``) of the undirected simple graph
-    underlying ``edges``. Deterministic: priorities are ``mix64(v)``."""
-    nb = _U64(num_buckets)
+    underlying ``edges``. Deterministic: priorities are ``mix64(v)``.
+    Raises RuntimeError when vertices are still alive after
+    ``max_rounds`` Luby rounds."""
+    # coalesce after a co-group WHEN blocks exploded (see
+    # util.coalesce_blocks); gated on the actual block count
+    rp = max(4, num_buckets // 2)
 
-    def split_sym(t: pa.Table) -> pa.Table:
-        s = np.asarray(t["src"].to_numpy(zero_copy_only=False), np.uint64)
-        d = np.asarray(t["dst"].to_numpy(zero_copy_only=False), np.uint64)
-        return _tbl((mix64(s) % nb).astype(np.int32), s, d,
-                    np.full(len(s), _EDGE))
+    def dedup_verts(g: dict) -> pa.Table:
+        v = np.unique(g["src"])
+        return _tbl(v, v)
 
-    def vert_rows(t: pa.Table) -> pa.Table:
-        s = np.asarray(t["src"].to_numpy(zero_copy_only=False), np.uint64)
-        d = np.asarray(t["dst"].to_numpy(zero_copy_only=False), np.uint64)
-        v = np.unique(np.concatenate([s, d]))
-        return _tbl((mix64(v) % nb).astype(np.int32), v, v,
-                    np.full(len(v), _VERT))
+    def pick_winners(g: dict) -> pa.Table:
+        src, dst = g["src"], g["dst"]
+        vert = src == dst
+        v = np.sort(src[vert])  # reduceat below needs ascending spans
+        order = np.argsort(src[~vert], kind="stable")
+        esrc, edst = src[~vert][order], dst[~vert][order]
+        pri = mix64(edst)
+        lo = np.searchsorted(esrc, v, side="left")
+        hi = np.searchsorted(esrc, v, side="right")
+        has = hi > lo
+        win = np.ones(len(v), bool)  # isolated vertices always win
+        if has.any():
+            # every edge src IS an alive vertex of this bucket, so the
+            # has-vertices' spans tile the src-sorted edge array and
+            # one reduceat yields all per-vertex minima
+            mn = np.minimum.reduceat(pri, lo[has])
+            win[has] = mix64(v[has]) < mn
+        winners = v[win]
+        # removal set: winners + neighbors of winners (their edge rows
+        # are in this bucket because edges are keyed by src)
+        nbrs = edst[np.isin(esrc, winners)]
+        wset = np.unique(np.concatenate([winners, nbrs]))
+        return pa.table({"v": wset, "win": np.isin(wset, winners)})
 
-    def dedup_verts(g: pa.Table) -> pa.Table:
-        v = np.unique(np.asarray(g["key"].to_numpy(zero_copy_only=False),
-                                 np.uint64))
-        return _tbl((mix64(v) % nb).astype(np.int32), v, v,
-                    np.full(len(v), _VERT))
+    def winners_only(t: pa.Table) -> pa.Table:
+        v = K._col(t, "v", np.uint64)[K._col(t, "win", bool)]
+        return pa.table({"v": v.astype(np.int64)})
 
-    # coalesce after a grouped exchange WHEN blocks exploded (see
-    # walks.py: Ray's sort-shuffle emits ~input-many mostly-empty
-    # blocks, and per-round unions compound them into task-scheduling
-    # overhead); gated on the actual block count so small runs skip the
-    # extra shuffle barrier
-    _rp_e = max(4, num_buckets // 2)
-    _rp_v = 16
+    def removed_rows(t: pa.Table) -> dict:
+        v = K._col(t, "v", np.uint64)
+        return {"src": v, "dst": v}
 
-    def _coalesce(ds, target: int):
-        from raygraph.util import coalesce_blocks
+    def drop(g: dict) -> pa.Table:
+        """Drop alive rows (side 0) keyed by a removed vertex (side 1) and
+        emit the rest with src/dst swapped: the pass keyed by src feeds
+        the pass keyed by dst, which swaps them back."""
+        alive = g["side"] == 0
+        keep = alive & ~np.isin(g["src"], g["src"][~alive])
+        return _tbl(g["dst"][keep], g["src"][keep])
 
-        return coalesce_blocks(ds.materialize(), target)
-
-    sym = sym_edges(edges, num_buckets=num_buckets)
-    alive_e = _coalesce(sym.map_batches(split_sym, batch_format="pyarrow"),
-                        _rp_e)
-    alive_v = _coalesce(sym.map_batches(vert_rows, batch_format="pyarrow")
-                        .groupby("bucket").map_groups(
-                            dedup_verts, batch_format="pyarrow"), _rp_v)
+    sym = sym_edges(edges, num_buckets=num_buckets).select_columns(
+        ["src", "dst"]).materialize()
+    verts = K._cogroup([(sym, None)], dedup_verts, key="src",
+                       num_buckets=num_buckets)
+    alive = coalesce_blocks(sym.union(verts).materialize(), rp)
 
     mis_parts: list = []
-    n_alive = alive_v.count()
-
-    for _ in range(max_rounds):
-        if n_alive == 0:
-            break
-
-        def pick_winners(g: pa.Table) -> pa.Table:
-            side = np.asarray(g["side"].to_numpy(zero_copy_only=False))
-            key = np.asarray(g["key"].to_numpy(zero_copy_only=False),
-                             np.uint64)
-            oth = np.asarray(g["other"].to_numpy(zero_copy_only=False),
-                             np.uint64)
-            esrc, edst = key[side == _EDGE], oth[side == _EDGE]
-            v = key[side == _VERT]
-            if len(v) == 0:
-                return _empty()
-            order = np.argsort(esrc, kind="stable")
-            esrc, edst = esrc[order], edst[order]
-            pri = mix64(edst)
-            lo = np.searchsorted(esrc, v, side="left")
-            hi = np.searchsorted(esrc, v, side="right")
-            has = hi > lo
-            win = np.ones(len(v), bool)  # isolated vertices always win
-            if has.any():
-                # every edge src IS an alive vertex of this bucket, so the
-                # has-vertices' spans tile the src-sorted edge array and
-                # one reduceat yields all per-vertex minima
-                mn = np.minimum.reduceat(pri, lo[has])
-                win[has] = mix64(v[has]) < mn
-            winners = v[win]
-            # removal set: winners + neighbors of winners (their edge rows
-            # are in this group because edges are keyed by src)
-            wset = np.zeros(0, np.uint64)
-            if len(winners):
-                m = np.isin(esrc, winners)
-                wset = np.unique(np.concatenate([winners, edst[m]]))
-            out_w = _tbl((mix64(winners) % nb).astype(np.int32), winners,
-                         winners, np.full(len(winners), _VERT))
-            out_r = _tbl((mix64(wset) % nb).astype(np.int32), wset, wset,
-                         np.full(len(wset), _REM))
-            return pa.concat_tables([out_w, out_r])
-
-        picked = _coalesce(alive_e.union(alive_v).groupby("bucket")
-                           .map_groups(pick_winners,
-                                       batch_format="pyarrow"), _rp_v)
-
-        def winners_only(t: pa.Table) -> pa.Table:
-            side = np.asarray(t["side"].to_numpy(zero_copy_only=False))
-            v = np.asarray(t["key"].to_numpy(zero_copy_only=False),
-                           np.uint64)[side == _VERT]
-            return pa.table({"v": v.astype(np.int64)})
-
-        def rem_rows(t: pa.Table) -> pa.Table:
-            side = np.asarray(t["side"].to_numpy(zero_copy_only=False))
-            keep = side == _REM
-            return pa.table({c: t[c].filter(pa.array(keep))
-                             for c in t.column_names})
-
+    n_alive = alive.count()
+    rounds = 0
+    while n_alive:
+        if rounds == max_rounds:
+            raise RuntimeError(
+                f"mis: {n_alive} vertex and edge rows still alive after "
+                f"max_rounds={max_rounds} Luby rounds — raise the bound")
+        picked = coalesce_blocks(
+            K._cogroup([(alive, None)], pick_winners, key="src",
+                       num_buckets=num_buckets).materialize(), rp)
         mis_parts.append(picked.map_batches(winners_only,
                                             batch_format="pyarrow"))
-        removed = picked.map_batches(rem_rows, batch_format="pyarrow")
-
-        # semi-join 1 (src bucket): drop removed verts + edges by src
-        def drop_by_key(g: pa.Table) -> pa.Table:
-            side = np.asarray(g["side"].to_numpy(zero_copy_only=False))
-            key = np.asarray(g["key"].to_numpy(zero_copy_only=False),
-                             np.uint64)
-            oth = np.asarray(g["other"].to_numpy(zero_copy_only=False),
-                             np.uint64)
-            rem = np.unique(key[side == _REM])
-            keep = (side != _REM) & ~np.isin(key, rem)
-            bkt = np.asarray(g["bucket"].to_numpy(zero_copy_only=False),
-                             np.int32)
-            return _tbl(bkt[keep], key[keep], oth[keep], side[keep])
-
-        stage1 = _coalesce(alive_e.union(alive_v).union(removed)
-                           .groupby("bucket")
-                           .map_groups(drop_by_key,
-                                       batch_format="pyarrow"), _rp_e)
-
-        def verts_of(t: pa.Table) -> pa.Table:
-            side = np.asarray(t["side"].to_numpy(zero_copy_only=False))
-            keep = side == _VERT
-            return pa.table({c: t[c].filter(pa.array(keep))
-                             for c in t.column_names})
-
-        def edges_rekey_dst(t: pa.Table) -> pa.Table:
-            side = np.asarray(t["side"].to_numpy(zero_copy_only=False))
-            m = side == _EDGE
-            key = np.asarray(t["key"].to_numpy(zero_copy_only=False),
-                             np.uint64)[m]
-            oth = np.asarray(t["other"].to_numpy(zero_copy_only=False),
-                             np.uint64)[m]
-            # re-key on dst for the dst-side semi-join
-            return _tbl((mix64(oth) % nb).astype(np.int32), oth, key,
-                        np.full(len(oth), _EDGE))
-
-        alive_v = stage1.map_batches(verts_of,
-                                     batch_format="pyarrow").materialize()
-
-        def drop_by_dst(g: pa.Table) -> pa.Table:
-            side = np.asarray(g["side"].to_numpy(zero_copy_only=False))
-            key = np.asarray(g["key"].to_numpy(zero_copy_only=False),
-                             np.uint64)
-            oth = np.asarray(g["other"].to_numpy(zero_copy_only=False),
-                             np.uint64)
-            rem = np.unique(key[side == _REM])
-            m = (side == _EDGE) & ~np.isin(key, rem)
-            # back to src keying
-            src, dst = oth[m], key[m]
-            return _tbl((mix64(src) % nb).astype(np.int32), src, dst,
-                        np.full(len(src), _EDGE))
-
-        alive_e = _coalesce(stage1.map_batches(edges_rekey_dst,
-                                               batch_format="pyarrow")
-                            .union(removed).groupby("bucket")
-                            .map_groups(drop_by_dst,
-                                        batch_format="pyarrow"), _rp_e)
-
-        n_alive = alive_v.count()
+        for _ in range(2):  # by src, then by dst
+            alive = coalesce_blocks(
+                K._cogroup([(alive, None), (picked, removed_rows)], drop,
+                           key="src", num_buckets=num_buckets).materialize(),
+                rp)
+        rounds += 1
+        n_alive = alive.count()
 
     out = mis_parts[0]
     for p in mis_parts[1:]:

@@ -9,19 +9,20 @@ effectively distinct, so the forest is unique and equal to Kruskal's
 under the same order (pinned by the chained-Borůvka DuckDB oracle and a
 pytest Kruskal cross-check).
 
-Distributed shape (per round, the driver sees only row counts):
+Distributed shape (per round, the driver sees only row counts; every
+exchange is one :func:`raygraph.kernels._cogroup`):
 
 1. **per-component min edge** — both orientations of every live edge are
    keyed by their endpoint's component id; a per-batch lexsort combiner
-   keeps ONE candidate per component per batch, so the grouped exchange
-   carries ≤ P rows per component no matter how hot a hub component is;
-   the final argmin happens inside the bucket group.
+   keeps ONE candidate per component per batch, so the co-group carries
+   ≤ P rows per component no matter how hot a hub component is; the
+   final argmin happens inside the bucket.
 2. **component merge** — the selected edges form a pseudo-forest over
    component ids in which each merged group contains exactly one
    2-cycle (its globally-min edge is picked from both sides). The
    2-cycle is broken toward the smaller id and parent pointers are
-   resolved by pointer jumping: ``ceil(log2(#live comps)) + 1`` bucketed
-   self-joins, no driver-side union-find, no broadcast.
+   resolved by pointer jumping: ``ceil(log2(#live comps)) + 1``
+   self-co-groups, no driver-side union-find, no broadcast.
 3. **edge relabel** — live edges carry their endpoint COMPONENT ids, so
    the relabel joins against the component-level root map (which
    shrinks geometrically), not the vertex table; intra-component edges
@@ -39,127 +40,113 @@ import math
 import numpy as np
 import pyarrow as pa
 
-from raygraph.util import coalesce_blocks as _coalesce, mix64
+from raygraph import kernels as K
+from raygraph.util import coalesce_blocks
 
 _B = 64
-_U64 = np.uint64
-_GOLD = np.uint64(0x9E3779B97F4A7C15)
-_EDGE, _LKP = np.int8(0), np.int8(1)
+_COLS = ("key", "a", "b", "w", "o")
 
 
-def _bk(x: np.ndarray, nb: int) -> np.ndarray:
-    return (mix64(x.astype(np.uint64)) % _U64(nb)).astype(np.int32)
+def _rows(key, a, b, w, o) -> pa.Table:
+    return pa.table({"key": np.asarray(key, np.uint64),
+                     "a": np.asarray(a, np.uint64),
+                     "b": np.asarray(b, np.uint64),
+                     "w": np.asarray(w, np.float64),
+                     "o": np.asarray(o, np.uint64)})
 
 
-def _rows(nb, key, a, b, w, o, side) -> pa.Table:
-    key = np.asarray(key, np.uint64)
-    n = len(key)
-    return pa.table({
-        "bucket": _bk(key, nb),
-        "key": key,
-        "a": np.asarray(a, np.uint64),
-        "b": np.asarray(b, np.uint64),
-        "w": np.asarray(w, np.float64),
-        "o": np.asarray(o, np.uint64),
-        "side": np.full(n, side, np.int8),
-    })
+def _map_rows(t: pa.Table) -> dict:
+    """A ``key -> o`` map side (parent or root map), padded to the
+    edge-row columns so it co-groups with edge rows."""
+    key = K._col(t, "key", np.uint64)
+    z = np.zeros(len(key), np.uint64)
+    return {"key": key, "a": z, "b": z, "w": np.zeros(len(key)),
+            "o": K._col(t, "o", np.uint64)}
 
 
-def _cols(t: pa.Table):
-    g = lambda c, dt: np.asarray(  # noqa: E731
-        t[c].to_numpy(zero_copy_only=False), dt)
-    return (g("key", np.uint64), g("a", np.uint64), g("b", np.uint64),
-            g("w", np.float64), g("o", np.uint64), g("side", np.int8))
+def _lookup(g: dict, is_map: np.ndarray, what: str) -> np.ndarray:
+    """``key -> o`` lookup inside one co-group bucket: the ``is_map``
+    rows are the map, and each other row's ``key`` is looked up in it
+    (in row order); a key missing from the map raises."""
+    order = np.argsort(g["key"][is_map])
+    mk, mo = g["key"][is_map][order], g["o"][is_map][order]
+    key = g["key"][~is_map]
+    idx = np.minimum(np.searchsorted(mk, key), max(len(mk) - 1, 0))
+    if len(key) and (len(mk) == 0 or not np.array_equal(mk[idx], key)):
+        raise RuntimeError(f"msf: {what} map lookup miss")
+    return mo[idx]
 
 
 def _first_per_key(c, u, v, w, o):
     """argmin per component id ``c`` under the (w, u, v) total order."""
     order = np.lexsort((v, u, w, c))
     c, u, v, w, o = (x[order] for x in (c, u, v, w, o))
-    first = np.r_[True, c[1:] != c[:-1]] if len(c) else np.zeros(0, bool)
+    first = np.ones(len(c), bool)
+    first[1:] = c[1:] != c[:-1]
     return c[first], u[first], v[first], w[first], o[first]
+
+
+def _min_per_pair(u, v, w):
+    """Distinct (u, v) pairs, each with its minimum weight."""
+    order = np.lexsort((w, v, u))
+    u, v, w = u[order], v[order], w[order]
+    first = np.ones(len(u), bool)
+    first[1:] = (u[1:] != u[:-1]) | (v[1:] != v[:-1])
+    return u[first], v[first], w[first]
 
 
 def canonical_weighted_edges(edges, *, num_buckets: int = _B):
     """Distinct undirected weighted pairs (u < v, w = min over the two
     directed orientations), self-loops dropped — per-batch combiner
-    then ONE grouped exchange keyed on a mix64 pair hash.
+    then ONE ``(u, v)``-keyed :func:`raygraph.kernels._cogroup`.
 
     Output rows are relabel-ready: key = cu = u, o = cv = v.
     """
-    nb = num_buckets
 
-    def local(t: pa.Table) -> pa.Table:
-        s = np.asarray(t["src"].to_numpy(zero_copy_only=False), np.uint64)
-        d = np.asarray(t["dst"].to_numpy(zero_copy_only=False), np.uint64)
-        w = np.asarray(t["w"].to_numpy(zero_copy_only=False), np.float64)
+    def local(t: pa.Table) -> dict:
+        s = K._col(t, "src", np.uint64)
+        d = K._col(t, "dst", np.uint64)
         keep = s != d
-        u = np.minimum(s, d)[keep]
-        v = np.maximum(s, d)[keep]
-        w = w[keep]
-        order = np.lexsort((w, v, u))
-        u, v, w = u[order], v[order], w[order]
-        first = (np.r_[True, (u[1:] != u[:-1]) | (v[1:] != v[:-1])]
-                 if len(u) else np.zeros(0, bool))
-        u, v, w = u[first], v[first], w[first]
-        with np.errstate(over="ignore"):
-            key = mix64(u * _GOLD ^ v)
-        return _rows(nb, key, u, v, w, v, _EDGE)
+        u, v, w = _min_per_pair(np.minimum(s, d)[keep], np.maximum(s, d)[keep],
+                                K._col(t, "w", np.float64)[keep])
+        return {"a": u, "b": v, "w": w}
 
-    def dedup(g: pa.Table) -> pa.Table:
-        _, a, b, w, _, _ = _cols(g)
-        order = np.lexsort((w, b, a))
-        a, b, w = a[order], b[order], w[order]
-        first = (np.r_[True, (a[1:] != a[:-1]) | (b[1:] != b[:-1])]
-                 if len(a) else np.zeros(0, bool))
-        a, b, w = a[first], b[first], w[first]
-        return _rows(nb, a, a, b, w, b, _EDGE)
+    def dedup(g: dict) -> pa.Table:
+        a, b, w = _min_per_pair(g["a"], g["b"], g["w"])
+        return _rows(a, a, b, w, b)
 
-    return (edges.map_batches(local, batch_format="pyarrow")
-            .groupby("bucket").map_groups(dedup, batch_format="pyarrow"))
+    return K._cogroup([(edges, local)], dedup, key=("a", "b"),
+                      num_buckets=num_buckets)
 
 
 def _resolve_roots(P, *, nb: int, n_comps: int):
     """2-cycle break + pointer jumping over the parent map ``P``
     (rows key=c, o=parent). Returns the root map (key=c, o=root)."""
 
-    def scatter(t: pa.Table) -> pa.Table:
-        key, _, _, _, o, _ = _cols(t)
-        z = np.zeros(len(key), np.float64)
-        req = _rows(nb, o, key, o, z, o, _EDGE)       # keyed by parent
-        lkp = _rows(nb, key, key, key, z, o, _LKP)    # keyed by self
-        return pa.concat_tables([req, lkp])
+    def scatter(t: pa.Table) -> dict:
+        # each row asks for its parent's parent (keyed by the parent) and
+        # answers for itself (keyed by itself)
+        c, p = K._col(t, "key", np.uint64), K._col(t, "o", np.uint64)
+        return {"key": np.concatenate([p, c]), "c": np.concatenate([c, c]),
+                "o": np.concatenate([p, p]),
+                "ask": np.arange(2 * len(c)) < len(c)}
 
     def make_combine(break_cycles: bool):
-        def combine(g: pa.Table) -> pa.Table:
-            key, a, _, _, o, side = _cols(g)
-            lk = side == _LKP
-            lkk, lkp = key[lk], o[lk]
-            order = np.argsort(lkk)
-            lkk, lkp = lkk[order], lkp[order]
-            rq = side == _EDGE
-            c, p = a[rq], key[rq]
-            idx = np.searchsorted(lkk, p)
-            if len(c) and (idx.max(initial=0) >= len(lkk)
-                           or not np.array_equal(lkk[np.minimum(
-                               idx, len(lkk) - 1)], p)):
-                raise RuntimeError("msf: parent map lookup miss")
-            pp = lkp[idx] if len(c) else np.zeros(0, np.uint64)
+        def combine(g: dict) -> pa.Table:
+            ask = g["ask"]
+            pp = _lookup(g, ~ask, "parent")
+            c, p = g["c"][ask], g["key"][ask]
             if break_cycles:
-                newp = np.where(pp == c, np.minimum(c, p), pp)
-            else:
-                newp = pp
-            z = np.zeros(len(c), np.float64)
-            return _rows(nb, c, c, c, z, newp, _LKP)
+                pp = np.where(pp == c, np.minimum(c, p), pp)
+            return pa.table({"key": c, "o": pp})
         return combine
 
     jumps = max(1, math.ceil(math.log2(max(2, n_comps)))) + 1
     for i in range(jumps):
-        P = _coalesce(
-            P.map_batches(scatter, batch_format="pyarrow")
-             .groupby("bucket")
-             .map_groups(make_combine(i == 0), batch_format="pyarrow")
-             .materialize(), max(4, nb // 2))
+        P = coalesce_blocks(
+            K._cogroup([(P, scatter)], make_combine(i == 0), key="key",
+                       num_buckets=nb).materialize(),
+            max(4, nb // 2))
     return P
 
 
@@ -167,116 +154,77 @@ def minimum_spanning_forest(edges, *, num_buckets: int = _B,
                             max_rounds: int = 48):
     """MSF edge Dataset (columns u, v, w — uint64/uint64/float64,
     u < v) of the undirected simple graph underlying the weighted
-    directed edge table ``edges`` (columns src, dst, w)."""
+    directed edge table ``edges`` (columns src, dst, w). Raises
+    RuntimeError when edges are still live after ``max_rounds``
+    Borůvka rounds."""
     nb = num_buckets
-    live = _coalesce(canonical_weighted_edges(edges, num_buckets=nb)
-                     .materialize(), max(4, nb // 2))
+    rp = max(4, nb // 2)
+    live = coalesce_blocks(
+        canonical_weighted_edges(edges, num_buckets=nb).materialize(), rp)
     forest_parts: list = []
 
-    for _ in range(max_rounds):
-        if live.count() == 0:
-            break
+    def incident(t: pa.Table) -> dict:
+        key, a, b, w, o = (K._col(t, n) for n in _COLS)   # key=cu, o=cv
+        c, u, v, ww, oc = _first_per_key(
+            np.concatenate([key, o]), np.concatenate([a, a]),
+            np.concatenate([b, b]), np.concatenate([w, w]),
+            np.concatenate([o, key]))
+        return {"key": c, "a": u, "b": v, "w": ww, "o": oc}
 
+    def pick(g: dict) -> pa.Table:
+        return _rows(*_first_per_key(*(g[n] for n in _COLS)))
+
+    def lift_pass2(g: dict) -> pa.Table:
+        e = g["side"] == 0                                  # key=cu, o=cv
+        ncu = _lookup(g, ~e, "root")
+        # re-key by the OTHER endpoint's old component for pass 2
+        return _rows(g["o"][e], g["a"][e], g["b"][e], g["w"][e], ncu)
+
+    def finish(g: dict) -> pa.Table:
+        e = g["side"] == 0                                  # key=cv, o=cu'
+        ncv = _lookup(g, ~e, "root")
+        keep = g["o"][e] != ncv
+        return _rows(g["o"][e][keep], g["a"][e][keep], g["b"][e][keep],
+                     g["w"][e][keep], ncv[keep])
+
+    n_live = live.count()
+    rounds = 0
+    while n_live:
+        if rounds == max_rounds:
+            raise RuntimeError(
+                f"msf: {n_live} edges still live after "
+                f"max_rounds={max_rounds} Borůvka rounds — raise the bound")
         # --- 1. per-component min cross edge -------------------------
-        def incident(t: pa.Table) -> pa.Table:
-            key, a, b, w, o, _ = _cols(t)          # key=cu, o=cv
-            c = np.concatenate([key, o])
-            oc = np.concatenate([o, key])
-            u = np.concatenate([a, a])
-            v = np.concatenate([b, b])
-            ww = np.concatenate([w, w])
-            c, u, v, ww, oc = _first_per_key(c, u, v, ww, oc)
-            return _rows(nb, c, u, v, ww, oc, _EDGE)
-
-        def pick(g: pa.Table) -> pa.Table:
-            key, a, b, w, o, _ = _cols(g)
-            c, u, v, ww, oc = _first_per_key(key, a, b, w, o)
-            return _rows(nb, c, u, v, ww, oc, _EDGE)
-
-        sel = _coalesce(
-            live.map_batches(incident, batch_format="pyarrow")
-                .groupby("bucket").map_groups(pick, batch_format="pyarrow")
-                .materialize(), max(4, nb // 2))
-        n_comps = sel.count()
-
-        def sel_edges(t: pa.Table) -> pa.Table:
-            _, a, b, w, _, _ = _cols(t)
-            return pa.table({"u": a, "v": b, "w": w})
-
-        forest_parts.append(
-            sel.map_batches(sel_edges, batch_format="pyarrow"))
+        sel = coalesce_blocks(
+            K._cogroup([(live, incident)], pick, key="key",
+                       num_buckets=nb).materialize(), rp)
+        forest_parts.append(sel)
 
         # --- 2. component merge: parent map -> pointer jumping --------
         # sel rows: key = c, o = other endpoint's component = parent
-        roots = _resolve_roots(sel, nb=nb, n_comps=n_comps)
+        roots = _resolve_roots(sel, nb=nb, n_comps=sel.count())
 
         # --- 3. relabel live edges against the component root map ----
-        def lift_pass2(g: pa.Table) -> pa.Table:
-            key, a, b, w, o, side = _cols(g)       # key=cu, o=cv
-            lk = side == _LKP
-            lkk, lkr = key[lk], o[lk]
-            order = np.argsort(lkk)
-            lkk, lkr = lkk[order], lkr[order]
-            eg = side == _EDGE
-            cu, u, v, w, cv = key[eg], a[eg], b[eg], w[eg], o[eg]
-            idx = np.searchsorted(lkk, cu)
-            if len(cu) and (idx.max(initial=0) >= len(lkk)
-                            or not np.array_equal(lkk[np.minimum(
-                                idx, len(lkk) - 1)], cu)):
-                raise RuntimeError("msf: root map lookup miss")
-            ncu = lkr[idx] if len(cu) else np.zeros(0, np.uint64)
-            # re-key by the OTHER endpoint's old component for pass 2
-            return _rows(nb, cv, u, v, w, ncu, _EDGE)
-
-        def finish(g: pa.Table) -> pa.Table:
-            key, a, b, w, o, side = _cols(g)       # key=cv, o=cu'
-            lk = side == _LKP
-            lkk, lkr = key[lk], o[lk]
-            order = np.argsort(lkk)
-            lkk, lkr = lkk[order], lkr[order]
-            eg = side == _EDGE
-            cv, u, v, w, ncu = key[eg], a[eg], b[eg], w[eg], o[eg]
-            idx = np.searchsorted(lkk, cv)
-            if len(cv) and (idx.max(initial=0) >= len(lkk)
-                            or not np.array_equal(lkk[np.minimum(
-                                idx, len(lkk) - 1)], cv)):
-                raise RuntimeError("msf: root map lookup miss")
-            ncv = lkr[idx] if len(cv) else np.zeros(0, np.uint64)
-            keep = ncu != ncv
-            return _rows(nb, ncu[keep], u[keep], v[keep], w[keep],
-                         ncv[keep], _EDGE)
-
-        live = _coalesce(
-            live.union(roots).groupby("bucket")
-                .map_groups(lift_pass2, batch_format="pyarrow")
-                .union(roots).groupby("bucket")
-                .map_groups(finish, batch_format="pyarrow")
-                .materialize(), max(4, nb // 2))
+        half = K._cogroup([(live, None), (roots, _map_rows)], lift_pass2,
+                          key="key", num_buckets=nb)
+        live = coalesce_blocks(
+            K._cogroup([(half, None), (roots, _map_rows)], finish,
+                       key="key", num_buckets=nb).materialize(), rp)
+        rounds += 1
+        n_live = live.count()
 
     if not forest_parts:
         return None
 
     # --- final global dedup (an edge can be selected from both sides
-    # in the same round) — ONE grouped exchange on the pair hash ------
+    # in the same round) — ONE (u, v)-keyed co-group ------------------
     out = forest_parts[0]
     for p in forest_parts[1:]:
         out = out.union(p)
 
-    def pair_key(t: pa.Table) -> pa.Table:
-        u = np.asarray(t["u"].to_numpy(zero_copy_only=False), np.uint64)
-        v = np.asarray(t["v"].to_numpy(zero_copy_only=False), np.uint64)
-        w = np.asarray(t["w"].to_numpy(zero_copy_only=False), np.float64)
-        with np.errstate(over="ignore"):
-            key = mix64(u * _GOLD ^ v)
-        return _rows(nb, key, u, v, w, v, _EDGE)
+    def uniq(g: dict) -> pa.Table:
+        u, v, w = _min_per_pair(g["a"], g["b"], g["w"])
+        return pa.table({"u": u, "v": v, "w": w})
 
-    def uniq(g: pa.Table) -> pa.Table:
-        _, a, b, w, _, _ = _cols(g)
-        order = np.lexsort((b, a))
-        a, b, w = a[order], b[order], w[order]
-        first = (np.r_[True, (a[1:] != a[:-1]) | (b[1:] != b[:-1])]
-                 if len(a) else np.zeros(0, bool))
-        return pa.table({"u": a[first], "v": b[first], "w": w[first]})
-
-    return (out.map_batches(pair_key, batch_format="pyarrow")
-            .groupby("bucket").map_groups(uniq, batch_format="pyarrow"))
+    return K._cogroup([(out.select_columns(["a", "b", "w"]), None)], uniq,
+                      key=("a", "b"), num_buckets=nb)

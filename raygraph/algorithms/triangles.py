@@ -40,32 +40,10 @@ def triangle_count_mxm(edges) -> int:
     (``triangle_count``) is the skew-optimized production variant —
     both are cross-checked in tests/test_algorithms.py."""
     from raygraph import kernels as K
-
-    def distinct(hi: np.ndarray, lo: np.ndarray):
-        order = np.lexsort((lo, hi))
-        hi, lo = hi[order], lo[order]
-        new = np.ones(len(hi), bool)
-        new[1:] = (hi[1:] != hi[:-1]) | (lo[1:] != lo[:-1])
-        return hi[new], lo[new]
-
-    def to_lower(t: pa.Table) -> dict:
-        """Strict-lower undirected pairs, deduped inside the batch before
-        the (src, dst)-keyed co-group."""
-        s = K._col(t, "src", np.uint64)
-        d = K._col(t, "dst", np.uint64)
-        keep = s != d
-        s, d = s[keep], d[keep]
-        hi, lo = distinct(np.maximum(s, d), np.minimum(s, d))
-        return {"src": hi, "dst": lo}
-
-    def dedup(g: dict) -> pa.Table:
-        hi, lo = distinct(g["src"], g["dst"])
-        return pa.table({"src": hi, "dst": lo,
-                         "w": np.ones(len(hi), np.float64)})
+    from raygraph.algorithms.cores import lower_pairs
 
     # distinct-pair set, consumed three times (A, B, mask)
-    tril = K._cogroup([(edges, to_lower)], dedup, key=("src", "dst"),
-                      num_buckets=64).materialize()
+    tril = lower_pairs(edges).materialize()
     masked = K.mxm(tril, tril, "plus_times", mask=tril)
     total = K.reduce_scalar(masked, "plus", col="w")
     return int(total) if total is not None else 0
@@ -176,6 +154,8 @@ def triangle_count(graph) -> int:
         closed = has_edge[gid] & (kind == 0)
         return pa.table({"partial": np.asarray([int(cnt[closed].sum())], np.int64)})
 
+    # not a kernels._cogroup: orient already keys its rows by ``part``,
+    # and a tag pass would copy the whole wedge table once more
     partials = (
         graph.blocks.map_batches(orient, batch_format="pyarrow")
         .groupby("part")

@@ -9,10 +9,10 @@ Determinism is what makes the op oracle-checkable and makes re-runs of a
 100 TB sampling job reproducible partition by partition.
 
 Distributed shape: the frontier (one row per live walk) cogroups with
-the distinct edge set through ONE bucketed grouped exchange per step,
-keyed on ``mix64(src)`` — each group sees every out-edge of its vertices
+the distinct edge set through ONE :func:`raygraph.kernels._cogroup` per
+step, keyed on ``src`` — each bucket sees every out-edge of its vertices
 plus the walks currently standing on them, so the per-walk argmin is
-computed inside the group with searchsorted ranges (no driver loop, no
+computed inside the bucket with searchsorted ranges (no driver loop, no
 broadcast). Walks at dead ends simply emit no next row. Edges are
 re-bucketed per step — for few-step sampling (the common training-data
 case) that is steps × one-shuffle; a long-walk production variant would
@@ -62,49 +62,36 @@ def random_walks(edges, *, start_pred=None, starts=None, steps: int = 4,
         start_pred = lambda ids: np.isin(ids, seed_arr)  # noqa: E731
 
     def to_ebin(t: pa.Table) -> pa.Table:
-        s = np.asarray(t["src"].to_numpy(zero_copy_only=False), np.uint64)
-        d = np.asarray(t["dst"].to_numpy(zero_copy_only=False), np.uint64)
+        s = K._col(t, "src", np.uint64)
+        d = K._col(t, "dst", np.uint64)
         order = np.lexsort((d, s))
         s, d = s[order], d[order]
-        new = np.r_[True, (s[1:] != s[:-1]) | (d[1:] != d[:-1])]
-        s, d = s[new], d[new]
-        bk = (mix64(s) % _U64(num_buckets)).astype(np.int32)
-        # side 0 = edge rows: key = src, a = dst
-        return pa.table({"bucket": bk, "key": s, "a": d,
-                         "b": np.zeros(len(s), np.uint64),
-                         "side": np.zeros(len(s), np.int8)})
+        new = np.ones(len(s), bool)
+        new[1:] = (s[1:] != s[:-1]) | (d[1:] != d[:-1])
+        # edge rows: key = src, a = dst
+        return pa.table({"key": s[new], "a": d[new]})
 
     ebin = K._ds(edges).map_batches(to_ebin, batch_format="pyarrow").materialize()
 
-    def to_starts(t: pa.Table) -> pa.Table:
-        s = np.asarray(t["src"].to_numpy(zero_copy_only=False), np.uint64)
-        d = np.asarray(t["dst"].to_numpy(zero_copy_only=False), np.uint64)
-        v = np.unique(np.concatenate([s, d]))
+    def to_starts(t: pa.Table) -> dict:
+        v = np.unique(np.concatenate([K._col(t, "src", np.uint64),
+                                      K._col(t, "dst", np.uint64)]))
         v = v[np.asarray(start_pred(v), bool)]
-        bk = (mix64(v) % _U64(num_buckets)).astype(np.int32)
-        # side 1 = walk rows: key = cur, a = start
-        return pa.table({"bucket": bk, "key": v, "a": v,
-                         "b": np.zeros(len(v), np.uint64),
-                         "side": np.ones(len(v), np.int8)})
+        return {"key": v}
 
-    def dedup_starts(g: pa.Table) -> pa.Table:
-        v = np.unique(np.asarray(g["key"].to_numpy(zero_copy_only=False),
-                                 np.uint64))
-        bk = (mix64(v) % _U64(num_buckets)).astype(np.int32)
-        return pa.table({"bucket": bk, "key": v, "a": v,
-                         "b": np.zeros(len(v), np.uint64),
-                         "side": np.ones(len(v), np.int8)})
+    def dedup_starts(g: dict) -> pa.Table:
+        # walk rows: key = cur, a = start
+        v = np.unique(g["key"])
+        return pa.table({"key": v, "a": v})
 
-    # coalesce after every grouped exchange: the frontier's real content
-    # is one row per live walk, but Ray's sort-shuffle emits ~input-many
+    # coalesce after every co-group: the frontier's real content is one
+    # row per live walk, but Ray's sort-shuffle emits ~input-many
     # mostly-empty blocks — left alone, each step unions the previous
     # step's empties and task-scheduling overhead (not data) dominates
     _RP = 16
 
-    frontier = (K._ds(edges).map_batches(to_starts, batch_format="pyarrow")
-                .groupby("bucket").map_groups(dedup_starts,
-                                              batch_format="pyarrow")
-                .repartition(_RP))
+    frontier = K._cogroup([(edges, to_starts)], dedup_starts, key="key",
+                          num_buckets=num_buckets).repartition(_RP)
 
     def out_rows(start: np.ndarray, step: int, v: np.ndarray) -> pa.Table:
         return pa.table({"start": start.astype(np.int64),
@@ -112,60 +99,39 @@ def random_walks(edges, *, start_pred=None, starts=None, steps: int = 4,
                          "v": v.astype(np.int64)})
 
     def emit0(t: pa.Table) -> pa.Table:
-        a = np.asarray(t["a"].to_numpy(zero_copy_only=False), np.uint64)
+        a = K._col(t, "a", np.uint64)
         return out_rows(a, 0, a)
 
     outputs = [frontier.map_batches(emit0, batch_format="pyarrow")]
 
     for t_step in range(1, steps + 1):
-        def advance(g: pa.Table, _t=t_step) -> pa.Table:
-            side = np.asarray(g["side"].to_numpy(zero_copy_only=False))
-            key = np.asarray(g["key"].to_numpy(zero_copy_only=False), np.uint64)
-            a = np.asarray(g["a"].to_numpy(zero_copy_only=False), np.uint64)
-            esrc, edst = key[side == 0], a[side == 0]
-            wcur, wstart = key[side == 1], a[side == 1]
-            if len(wcur) == 0 or len(esrc) == 0:
-                return pa.table({"bucket": pa.array([], pa.int32()),
-                                 "key": pa.array([], pa.uint64()),
-                                 "a": pa.array([], pa.uint64()),
-                                 "b": pa.array([], pa.uint64()),
-                                 "side": pa.array([], pa.int8())})
+        def advance(g: dict, _t=t_step) -> pa.Table:
+            edge = g["side"] == 0
+            esrc, edst = g["key"][edge], g["a"][edge]
+            wcur, wstart = g["key"][~edge], g["a"][~edge]
             order = np.argsort(esrc, kind="stable")
             esrc, edst = esrc[order], edst[order]
             lo = np.searchsorted(esrc, wcur, side="left")
-            hi = np.searchsorted(esrc, wcur, side="right")
-            cnt = hi - lo
+            cnt = np.searchsorted(esrc, wcur, side="right") - lo
             live = cnt > 0
             wcur, wstart, lo, cnt = wcur[live], wstart[live], lo[live], cnt[live]
-            if len(wcur) == 0:
-                return pa.table({"bucket": pa.array([], pa.int32()),
-                                 "key": pa.array([], pa.uint64()),
-                                 "a": pa.array([], pa.uint64()),
-                                 "b": pa.array([], pa.uint64()),
-                                 "side": pa.array([], pa.int8())})
-            total = int(cnt.sum())
             rep = np.repeat(np.arange(len(wcur)), cnt)
-            idx = np.repeat(lo, cnt) + (np.arange(total) - np.repeat(
-                np.concatenate(([0], np.cumsum(cnt)[:-1])), cnt))
+            idx = np.repeat(lo - (np.cumsum(cnt) - cnt), cnt) + np.arange(len(rep))
             h = _step_key(wcur[rep], _t, edst[idx])
             # per-walk argmin via (rep, h) lexsort + first-of-group
             o = np.lexsort((h, rep))
-            first = np.r_[True, rep[o][1:] != rep[o][:-1]]
-            nxt = edst[idx][o][first]
-            st = wstart[rep][o][first]
-            bk = (mix64(nxt) % _U64(num_buckets)).astype(np.int32)
-            return pa.table({"bucket": bk, "key": nxt, "a": st,
-                             "b": np.zeros(len(nxt), np.uint64),
-                             "side": np.ones(len(nxt), np.int8)})
+            first = np.ones(len(o), bool)
+            first[1:] = rep[o][1:] != rep[o][:-1]
+            return pa.table({"key": edst[idx][o][first],
+                             "a": wstart[rep][o][first]})
 
-        frontier = (ebin.union(frontier).groupby("bucket")
-                    .map_groups(advance, batch_format="pyarrow")
-                    .repartition(_RP).materialize())
+        frontier = K._cogroup([(ebin, None), (frontier, None)], advance,
+                              key="key", num_buckets=num_buckets
+                              ).repartition(_RP).materialize()
 
         def emit(t: pa.Table, _t=t_step) -> pa.Table:
-            st = np.asarray(t["a"].to_numpy(zero_copy_only=False), np.uint64)
-            v = np.asarray(t["key"].to_numpy(zero_copy_only=False), np.uint64)
-            return out_rows(st, _t, v)
+            return out_rows(K._col(t, "a", np.uint64), _t,
+                            K._col(t, "key", np.uint64))
 
         outputs.append(frontier.map_batches(emit, batch_format="pyarrow"))
 
@@ -183,40 +149,34 @@ def walk_skipgram_pairs(edges, *, start_pred=None, starts=None,
     ``1 <= d <= window`` across all walks — the full embedding-training
     prep composition (Perozzi et al. 2014) in two stages.
 
-    Pair generation groups each walk's rows by start (walks are short —
-    ``steps+1`` rows — so a walk always fits a group), sorts by step,
-    and emits index-shifted pairs; counting is the same combiner-first
-    ``groupby(pair).sum`` as the text-side skip-gram op."""
+    Pair generation co-groups the walk rows by start (walks are short —
+    ``steps+1`` rows — so a walk always fits a bucket), sorts by
+    (start, step), and emits index-shifted pairs within each walk;
+    counting is the same combiner-first ``groupby(pair).sum`` as the
+    text-side skip-gram op."""
     wk = random_walks(edges, start_pred=start_pred, starts=starts,
                       steps=steps, num_buckets=num_buckets)
 
-    def pairs(g: pa.Table) -> pa.Table:
-        st = np.asarray(g["step"].to_numpy(zero_copy_only=False), np.int64)
-        v = np.asarray(g["v"].to_numpy(zero_copy_only=False), np.int64)
-        o = np.argsort(st, kind="stable")
-        st, v = st[o], v[o]
-        outs_a, outs_b = [], []
+    def pairs(g: dict) -> pa.Table:
+        o = np.lexsort((g["step"], g["start"]))
+        st, v = g["start"][o], g["v"][o]
+        # steps are consecutive from 0 while a walk lives, so an index
+        # shift of d within one start IS a step shift of d
+        outs_a, outs_b = [v[:0]], [v[:0]]
         for d in range(1, window + 1):
-            # steps are consecutive from 0 while the walk lives, so an
-            # index shift of d IS a step shift of d
-            if len(v) > d:
-                outs_a.append(v[:-d])
-                outs_b.append(v[d:])
-        if not outs_a:
-            return pa.table({"a": pa.array([], pa.int64()),
-                             "b": pa.array([], pa.int64()),
-                             "n": pa.array([], pa.int64())})
-        a = np.concatenate(outs_a)
-        b = np.concatenate(outs_b)
-        t = pa.table({"a": a, "b": b}).group_by(["a", "b"]).aggregate(
+            same = st[:-d] == st[d:]
+            outs_a.append(v[:-d][same])
+            outs_b.append(v[d:][same])
+        t = pa.table({"a": np.concatenate(outs_a),
+                      "b": np.concatenate(outs_b)}).group_by(["a", "b"]).aggregate(
             [([], "count_all")])
         return pa.table({"a": t["a"], "b": t["b"],
                          "n": t["count_all"].cast(pa.int64())})
 
     # coalesce the unioned per-step outputs before grouping (see the
     # block-explosion note in random_walks)
-    agg = (wk.repartition(16).groupby("start")
-           .map_groups(pairs, batch_format="pyarrow")
+    agg = (K._cogroup([(wk.repartition(16), None)], pairs, key="start",
+                      num_buckets=num_buckets)
            .groupby(["a", "b"]).sum("n"))
 
     def fin(t: pa.Table) -> pa.Table:

@@ -612,9 +612,10 @@ def _key_cols(key) -> tuple:
 
 
 def _cogroup(sides: list, fn, *, key="v", num_buckets: int = _DEFAULT_BUCKETS):
-    """The one hash co-group of the GraphBLAS kernels: every keyed join
-    and grouped reduce here, in ``multival`` and in
-    ``algorithms.triangles`` runs through it.
+    """The one hash co-group of the GraphBLAS kernels and the graph
+    algorithms: every keyed join and grouped reduce here, in
+    ``multival`` and in ``algorithms`` (cores, metrics, mis, msf, walks,
+    triangle_count_mxm) runs through it.
 
     ``sides`` is a list of ``(dataset_or_table, cols)``, where
     ``cols(batch) -> dict`` of numpy columns (``None`` keeps the batch's

@@ -87,13 +87,24 @@ def pairs_in_segments(values, seg_starts, seg_sizes, cap=None):
 
 
 def coalesce_blocks(m, target: int):
-    """Repartition a MATERIALIZED Dataset when its block count exploded:
+    """Repartition a MATERIALIZED Dataset when its block count exploded,
+    and return it with a fresh stats lineage — the loop-state hygiene of
+    the kcore / mis / msf rounds.
+
     Ray's sort-shuffle emits ~input-many mostly-empty blocks, and
     per-round unions compound them into task-scheduling overhead in
-    superstep loops (the msf fix measured 251 s → 10.7 s at sf0.1).
-    Gated on the actual block count so small runs skip the extra
-    shuffle barrier. Shared by mis.py / msf.py (walks.py has the same
-    inline guard)."""
+    superstep loops (the msf fix measured 251 s → 10.7 s at sf0.1);
+    gated on the actual block count so small runs skip the extra
+    shuffle barrier. Ray Data also summarizes a dataset's execution
+    stats by recursing into every parent without memoization, so a
+    loop state co-grouped with its own derivatives (msf's relabel
+    against roots derived from the same edges, mis's semi-joins) grows
+    a stats tree exponential in the round count (one msf executor
+    shutdown spent 98 s summarizing it), and a 100-round kcore peel hit
+    Python's recursion limit walking its plan. Re-wrapping the block
+    refs drops that lineage and copies no data."""
+    import ray.data as rd
+
     if m.num_blocks() > 2 * target:
         m = m.repartition(target).materialize()
-    return m
+    return rd.from_arrow_refs(m.to_arrow_refs())

@@ -328,6 +328,12 @@ def test_mis_matches_brute_force_and_is_valid():
         present = set(np.flatnonzero(A.any(0))) | set(np.flatnonzero(A.any(1)))
         for v in present - gs:
             assert any(S[v, u] for u in gs), f"{v} not dominated"
+    # a 40-vertex path needs several Luby rounds: one round raises
+    path = pa.table({"src": np.arange(39, dtype=np.uint64),
+                     "dst": np.arange(1, 40, dtype=np.uint64),
+                     "w": np.ones(39)})
+    with pytest.raises(RuntimeError, match="max_rounds=1"):
+        maximal_independent_set(rd.from_arrow(path), max_rounds=1)
 
 
 def test_weighted_pagerank_matches_dense_formula():

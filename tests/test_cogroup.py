@@ -1,7 +1,7 @@
 """The one hash co-group (``kernels._cogroup``): results independent of
 the bucket count, full-range uint64 ids kept as uint64 through every
-grouped reduce, and a structural guard that no kernel hand-rolls its own
-bucket hash or ``map_groups`` shuffle."""
+grouped reduce, and a structural guard that no kernel or graph algorithm
+hand-rolls its own bucket hash or ``map_groups`` shuffle."""
 
 import ast
 import pathlib
@@ -12,6 +12,7 @@ import pytest
 
 from raygraph import kernels as K
 from raygraph import multival as MV
+from raygraph.algorithms import cores, metrics, mis, msf, walks
 
 ROOT = pathlib.Path(__file__).resolve().parents[1] / "raygraph"
 BIG = np.uint64(1 << 63)
@@ -59,6 +60,9 @@ def test_results_do_not_depend_on_bucket_count():
     cva, cvb = _complex(va, rng), _complex(vb, rng)
     rows = np.unique(a["src"].to_numpy())[:7]
     cols = np.unique(a["dst"].to_numpy())[:9]
+    starts = rows[:5]
+    two_mode = pa.table({"k": a["src"].to_numpy() % np.uint64(17),
+                         "v": a["dst"].to_numpy()})
     ops = {
         "ewise_add": lambda nb: K.ewise_add(va, vb, num_buckets=nb),
         "merge": lambda nb: K.merge(va, vb, mask=vm, accum="plus",
@@ -79,6 +83,21 @@ def test_results_do_not_depend_on_bucket_count():
                                         num_buckets=nb),
         "ewise_add_c": lambda nb: MV.ewise_add_c(cva, cvb, num_buckets=nb),
         "mxm_c": lambda nb: MV.mxm_c(ca, cb, num_buckets=nb),
+        # graph algorithms over the same co-group
+        "sym_edges": lambda nb: cores.sym_edges(a, num_buckets=nb),
+        "kcore": lambda nb: cores.kcore(a, 2, num_buckets=nb),
+        "minimum_spanning_forest": lambda nb: msf.minimum_spanning_forest(
+            a, num_buckets=nb),
+        "maximal_independent_set": lambda nb: mis.maximal_independent_set(
+            a, num_buckets=nb),
+        "random_walks": lambda nb: walks.random_walks(
+            a, starts=starts, steps=3, num_buckets=nb),
+        "walk_skipgram_pairs": lambda nb: walks.walk_skipgram_pairs(
+            a, starts=starts, steps=3, window=2, num_buckets=nb),
+        "reciprocity": lambda nb: metrics.reciprocity(
+            pa.concat_tables([a, b]), num_buckets=nb),
+        "bipartite_project": lambda nb: metrics.bipartite_project(
+            two_mode, key_col="k", val_col="v", num_buckets=nb),
     }
     for name, op in ops.items():
         want = _canon(op(64))
@@ -162,17 +181,35 @@ def _is_pair_constant(n):
     return isinstance(n, ast.Constant) and n.value == 0x9E3779B97F4A7C15
 
 
+def _stmt_name(st):
+    """Name a module-level statement by its function or assigned name."""
+    if isinstance(st, ast.Assign):
+        return ast.unparse(st.targets[0])
+    return getattr(st, "name", type(st).__name__)
+
+
 def test_one_cogroup_and_no_hand_rolled_bucket_hashes():
     kernels = ast.parse((ROOT / "kernels.py").read_text())
     multival = ast.parse((ROOT / "multival.py").read_text())
     triangles = ast.parse((ROOT / "algorithms" / "triangles.py").read_text())
+    algos = [ast.parse((ROOT / "algorithms" / f"{m}.py").read_text())
+             for m in ("cores", "msf", "mis", "walks", "metrics")]
     # scan_vector keeps range buckets: its carries follow index order
     assert _outer_functions_with(kernels, _is_map_groups) == {"_cogroup", "scan_vector"}
-    assert _outer_functions_with(multival, _is_map_groups) == set()
-    for tree in (kernels, multival, triangles):
+    # triangle_count's rows arrive keyed by part from its orient pass
+    assert _outer_functions_with(triangles, _is_map_groups) == {"triangle_count"}
+    for tree in [multival, *algos]:
+        assert _outer_functions_with(tree, _is_map_groups) == set()
+    for tree in [kernels, multival, triangles, *algos]:
         assert not any(_is_bucket_hash(n) for n in ast.walk(tree))
-        assert not any(_is_pair_constant(n) for n in ast.walk(tree))
-    # the per-module co-group and join copies are gone
+        # the walk step key's multiplier is the walk's own hash, not a bucket
+        allowed = {"_K1"} if tree is algos[3] else set()
+        assert {_stmt_name(st) for st in tree.body
+                if any(_is_pair_constant(n) for n in ast.walk(st))} <= allowed
+    # the per-module co-group and join copies, and the helpers that only
+    # computed the next stage's bucket, are gone
     for mod, names in ((K, ("_tag", "_edge_cogroup", "_join_edge_sides")),
-                       (MV, ("_tag_multi", "_cogroup_multi", "_join_sides_multi"))):
+                       (MV, ("_tag_multi", "_cogroup_multi", "_join_sides_multi")),
+                       (msf, ("_bk", "_GOLD")),
+                       (mis, ("_empty", "_coalesce"))):
         assert not [n for n in names if hasattr(mod, n)]

@@ -3,6 +3,7 @@
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pytest
 import ray.data as rd
 
 from raygraph.algorithms.cores import edge_support, kcore, sym_edges
@@ -60,6 +61,13 @@ def test_kcore_multiround_cascade():
     pairs = [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (4, 6)]
     out = kcore(_edges(pairs), 2).to_pandas()
     assert sorted(out["v"]) == [4, 5, 6]
+    # a 200-vertex path peels two endpoints per round: ~100 rounds to the
+    # empty 2-core, so the default cap raises instead of returning a
+    # partial peel
+    path = _edges([(i, i + 1) for i in range(199)])
+    with pytest.raises(RuntimeError, match="max_rounds=64"):
+        kcore(path, 2)
+    assert kcore(path, 2, max_rounds=128).count() == 0
 
 
 def test_chunk_documents_geometry():
@@ -599,3 +607,7 @@ def test_bipartite_project_counts():
                             val_col="v").to_pandas()
     got = {(r.a, r.b): r.n_shared for r in out.itertuples()}
     assert got == {(10, 20): 2, (10, 30): 1, (20, 30): 1}
+    # key 1 has 3 distinct vals: over cap=2 it raises, never drops its pairs
+    with pytest.raises(ValueError, match="key 1 is shared by 3 vals"):
+        bipartite_project(rd.from_arrow(t), key_col="k", val_col="v",
+                          cap=2).materialize()

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pyarrow as pa
+import pytest
 import ray.data as rd
 
 from raygraph.algorithms.msf import (canonical_weighted_edges,
@@ -57,6 +58,10 @@ def test_msf_triangle_with_tail():
     # triangle 1-2-3 + pendant 4; heaviest triangle edge excluded
     got = _run([1, 2, 1, 3], [2, 3, 3, 4], [1.0, 2.0, 3.0, 5.0])
     assert got == [(1, 2, 1.0), (2, 3, 2.0), (3, 4, 5.0)]
+    # {1,2} and {3,4} merge in round 1, the 2-3 bridge needs round 2
+    chain = _edges([1, 3, 2], [2, 4, 3], [1.0, 1.0, 5.0])
+    with pytest.raises(RuntimeError, match="max_rounds=1"):
+        minimum_spanning_forest(chain, num_buckets=8, max_rounds=1)
 
 
 def test_msf_disconnected_forest():
