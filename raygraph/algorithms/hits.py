@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from raygraph.fused import block_cache, check_layout, push_sum
+from raygraph.fused import block_cache, check_layout, fetch, push_sum
 
 
 def hits_fused(g, gT, *, itermax: int = 8):
@@ -38,7 +38,7 @@ def hits_fused(g, gT, *, itermax: int = 8):
 
     def half_step(cache, x_refs, inv_s):
         y_refs, s_refs = push_sum(cache, sizes, x_refs, inv_s)
-        s = float(sum(ray.get(s_refs)))
+        s = float(sum(fetch(s_refs)))
         return y_refs, 1.0 / s if s > 0 else 0.0
 
     h_refs = [ray.put(np.ones(s, np.float64)) for s in sizes]
@@ -46,6 +46,6 @@ def hits_fused(g, gT, *, itermax: int = 8):
     for _ in range(itermax):
         a_refs, inv_a = half_step(cacheA, h_refs, inv_h)
         h_refs, inv_h = half_step(cacheT, a_refs, inv_a)
-    hub = [x * inv_h for x in ray.get(h_refs)]
-    auth = [x * inv_a for x in ray.get(a_refs)]
+    hub = [x * inv_h for x in fetch(h_refs)]
+    auth = [x * inv_a for x in fetch(a_refs)]
     return hub, auth

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from raygraph.fused import block_cache, push_sum
+from raygraph.fused import block_cache, fetch, push_sum
 
 
 def katz_fused(g, *, alpha: float = 0.05, beta: float = 1.0,
@@ -51,9 +51,9 @@ def katz_fused(g, *, alpha: float = 0.05, beta: float = 1.0,
         prev_refs = x_refs
         x_refs, _ = push_sum(cache, sizes, x_refs, alpha, beta)
 
-    xs = ray.get(x_refs)
+    xs = fetch(x_refs)
     if keep_prev:
-        return xs, ray.get(prev_refs)
+        return xs, fetch(prev_refs)
     if normalize:
         s = float(np.sqrt(sum(float((x * x).sum()) for x in xs)))
         if s > 0:

@@ -124,6 +124,10 @@ def maximal_independent_set(edges, *, num_buckets: int = _B,
         rounds += 1
         n_alive = alive.count()
 
+    if not mis_parts:  # no edge but self-loops: nothing alive to pick
+        import ray.data as rd
+
+        return rd.from_arrow(pa.table({"v": pa.array([], pa.int64())}))
     out = mis_parts[0]
     for p in mis_parts[1:]:
         out = out.union(p)

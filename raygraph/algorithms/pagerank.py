@@ -160,9 +160,8 @@ def pagerank_dangling_fused(graph, *, damping: float = 0.85,
     β = (1−d)/n + d·dangling_mass/n into the reduce; the reduce also
     returns each partition's dangling mass, so the driver holds refs
     and 1 scalar per iteration."""
-    import ray
-
-    from raygraph.fused import _sum_reduce, block_cache, inv_outdeg, push_sum, wave
+    from raygraph.fused import (_sum_reduce, block_cache, fetch, inv_outdeg,
+                                 push_sum, wave)
 
     n = graph.n_vertices
     if n == 0:
@@ -177,6 +176,6 @@ def pagerank_dangling_fused(graph, *, damping: float = 0.85,
     x, dang, _ = wave(_sum_reduce, [(s, 1.0 / n, i) for s, i in zip(sizes, invd)],
                       n_local=2, send=False)
     for _ in range(itermax):
-        beta = (1.0 - damping) / n + damping * float(sum(ray.get(dang))) / n
+        beta = (1.0 - damping) / n + damping * float(sum(fetch(dang))) / n
         x, dang = push_sum(cache, sizes, x, invd, beta, invd)
-    return ray.get(x)
+    return fetch(x)

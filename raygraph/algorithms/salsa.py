@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from raygraph.fused import block_cache, check_layout, inv_outdeg, push_sum
+from raygraph.fused import block_cache, check_layout, fetch, inv_outdeg, push_sum
 
 
 def salsa_fused(g, gT, *, itermax: int = 4):
@@ -48,7 +48,7 @@ def salsa_fused(g, gT, *, itermax: int = 4):
         a_refs, _ = push_sum(cacheA, sizes, h_refs, invA)   # a ← D_out⁻¹ᵀAᵀ h
         h_refs, _ = push_sum(cacheT, sizes, a_refs, invT)   # h ← D_in⁻¹ᵀA a
 
-    hs, as_ = ray.get(h_refs), ray.get(a_refs)
+    hs, as_ = fetch(h_refs), fetch(a_refs)
 
     def l1norm(xs):
         s = float(sum(float(x.sum()) for x in xs))

@@ -33,7 +33,7 @@ one scatter wave plus one reduce wave (``fused.wave``) driven to its
 fixpoint by ``fused.drive``; per sweep only P booleans (changed flags)
 return to the driver, per round only P ints (active counts).
 Per-partition state (scc, active, color, flag) lives in the object store
-as one ref per partition; the driver never holds a vertex array.
+inside its group's wave result; the driver never holds a vertex array.
 Assigned vertices send the min-neutral U64MAX (color wave) / 0 (flag
 wave), so no compaction is needed — rounds shrink work, not layout.
 """
@@ -44,7 +44,7 @@ import numpy as np
 import pyarrow as pa
 
 from raygraph.fused import (U64MAX, _gather, _segment_scatter, block_cache,
-                             check_layout, drive, wave)
+                             check_layout, drive, fetch, wave)
 from raygraph.ops import MONOID, local_combine
 
 
@@ -161,7 +161,7 @@ def scc_fused(g, gT, *, max_rounds: int = 64, max_sweeps: int = 4096):
           for s in g.sizes]
     st, _, n_active = drive(round_, st, itermax=max_rounds)
     if n_active and n_active[-1] == 0:
-        return [s[0] for s in ray.get(st)]
+        return [s[0] for s in fetch(st)]
     raise RuntimeError(
         f"scc_fused: {n_active[-1] if n_active else g.n_vertices} vertices "
         f"unassigned after {max_rounds} rounds / {max_sweeps - sweeps_left} "

@@ -144,7 +144,7 @@ def _iter_dir(ckpt_dir: str, it: int) -> str:
     return os.path.join(ckpt_dir, f"iter={it}")
 
 
-def _write_state_part(tmp: str, p: int, names: list[str], arrays) -> None:
+def _write_state_part(tmp: str, p: int, names: list[str], *arrays) -> None:
     """Write one partition's state slice as its own one-row parquet file."""
     cols: dict[str, list] = {"part": [p]}
     for n, a in zip(names, arrays):
@@ -152,22 +152,6 @@ def _write_state_part(tmp: str, p: int, names: list[str], arrays) -> None:
     pq.write_table(
         pa.table(cols), os.path.join(tmp, f"state_p{p:05d}.parquet"), compression="zstd"
     )
-
-
-_write_task = None
-
-
-def _write_state_part_remote():
-    global _write_task
-    if _write_task is None:
-        import ray
-
-        @ray.remote(num_cpus=1)
-        def w(tmp, p, names, *arrays):
-            _write_state_part(tmp, p, names, arrays)
-
-        _write_task = w
-    return _write_task
 
 
 def write_iter(
@@ -179,12 +163,14 @@ def write_iter(
 ) -> None:
     """Checkpoint one iteration: state vectors + lineage, atomically.
 
-    ``state`` maps name -> per-partition list whose items are numpy arrays
-    OR Ray ObjectRefs to them. Refs are written by per-partition Ray tasks
-    straight from the object store, so the driver never materializes O(n)
-    state (at cluster scale ``ckpt_dir`` is shared storage and each writer
-    streams only its own slice). One file per partition also makes the
-    checkpoint layout resumable/skippable per partition.
+    ``state`` maps name -> per-partition list whose items are numpy
+    arrays, Ray ObjectRefs to them or ``fused.Part`` handles into a
+    wave's group results. One ``fused.wave`` writer task per group
+    writes its partitions straight from the object store, so the driver
+    never materializes O(n) state (at cluster scale ``ckpt_dir`` is
+    shared storage and each writer streams only its own slices). One
+    file per partition keeps the checkpoint layout independent of the
+    group count and resumable per partition.
     """
     d = _iter_dir(ckpt_dir, it)
     # tmp name must NOT start with 'iter=' — it may contain _SUCCESS before
@@ -200,19 +186,16 @@ def write_iter(
         use_ray = ray.is_initialized()
     except ImportError:  # pragma: no cover - ray is always present in prod
         use_ray = False
+    rows = [(tmp, p, names, *[state[n][p] for n in names])
+            for p in range(graph.num_parts)]
     if use_ray:
-        import ray
+        from raygraph.fused import fetch, wave
 
-        task = _write_state_part_remote()
-        ray.get(
-            [
-                task.remote(tmp, p, names, *[state[n][p] for n in names])
-                for p in range(graph.num_parts)
-            ]
-        )
+        done, _ = wave(_write_state_part, rows, send=False)
+        fetch(done)  # wait for every group's writes
     else:
-        for p in range(graph.num_parts):
-            _write_state_part(tmp, p, names, [state[n][p] for n in names])
+        for row in rows:
+            _write_state_part(*row)
     lineage = dict(lineage)
     lineage.setdefault("iter", it)
     lineage.setdefault("partitions", graph.num_parts)

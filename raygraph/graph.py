@@ -223,11 +223,14 @@ class Graph:
         )))
 
     def free_caches(self) -> None:
-        """Release the fused/frontier routing caches (O(nnz) object-store
-        bytes); algorithms rebuild them on demand. Call between pipeline
-        phases when several graphs coexist (memory-aware rule, SCALE.md)."""
-        self._fused_cache = None
-        self._frontier_cache = None
+        """Release the fused routing caches — unweighted, weighted and
+        frontier (O(nnz) object-store bytes) — and the id refs; algorithms
+        rebuild them on demand. Call between pipeline phases when several
+        graphs coexist (memory-aware rule, SCALE.md)."""
+        from raygraph.fused import CACHE_ATTRS
+
+        for attr in CACHE_ATTRS:
+            setattr(self, attr, None)
         self._ids_refs = None
 
     def to_vertex_table(self, slices: list[np.ndarray], name: str = "val") -> pa.Table:

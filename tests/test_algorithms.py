@@ -336,6 +336,17 @@ def test_mis_matches_brute_force_and_is_valid():
         maximal_independent_set(rd.from_arrow(path), max_rounds=1)
 
 
+def test_mis_of_self_loop_only_input_is_empty():
+    from raygraph.algorithms.mis import maximal_independent_set
+
+    loops = pa.table({"src": np.array([1, 2], np.uint64),
+                      "dst": np.array([1, 2], np.uint64),
+                      "w": np.ones(2)})
+    out = maximal_independent_set(rd.from_arrow(loops))
+    assert out.count() == 0
+    assert out.schema().names == ["v"]
+
+
 def test_weighted_pagerank_matches_dense_formula():
     from raygraph.algorithms.pagerank import pagerank
 

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import ray.data as rd
 
@@ -271,18 +273,17 @@ def test_lpa_fused_directed_source_and_sink_partitions():
 
 
 def test_fused_p256_driver_overhead_smoke():
-    """P=256 smoke (SCALE.md round-5 note): the fused engine's O(P²)
-    per-iteration packet-ref fan-out (65,536 refs/wave at P=256) stays
-    bounded, and the result matches the P=5 partitioning bit-for-bit at
-    the vertex level (partition-count invariance).
+    """P=256 smoke (SCALE.md round-5 note): the fused engine's per-
+    iteration work at P=256 (W group tasks per wave, P² packet header
+    rows inside W×W flat packets) stays bounded, and the result matches
+    the P=5 partitioning bit-for-bit at the vertex level
+    (partition-count invariance).
 
     The timing check is a generous ABSOLUTE runaway-regression ceiling,
-    not a perf measurement: the 4-cpu pytest fixture serializes the 256
-    tasks/wave into ~64 scheduling rounds, so wall here tracks the host's
-    task-dispatch latency (0.3-7 s/iter across sandbox VMs), while the
-    P=5 leg is 0.05 s noise — a relative bound flakes across boxes (it
-    did, r5). The evidentiary driver-overhead numbers in SCALE.md come
-    from the dedicated 32-cpu run, not this smoke."""
+    not a perf measurement: wall here tracks the host's task-dispatch
+    latency, which varied 0.3-7 s/iter across sandbox VMs when each wave
+    was 256 tasks, while the P=5 leg is 0.05 s noise — a relative bound
+    flakes across boxes (it did, r5)."""
     import time
 
     import pyarrow as pa
@@ -314,3 +315,116 @@ def test_fused_p256_driver_overhead_smoke():
     assert a["v"].to_pylist() == b["v"].to_pylist()
     np.testing.assert_allclose(a["val"].to_numpy(), b["val"].to_numpy(),
                                rtol=0, atol=1e-12)
+
+
+# ------------------------------------------------------------ groups ----
+
+
+def _group_graphs(P):
+    """A weighted digraph with a sink row and an isolated vertex, its
+    binarized form, transpose and symmetrization, at P partitions."""
+    from raygraph import kernels as K
+
+    rng = np.random.default_rng(41)
+    A = fx.random_graph(50, 0.07, seed=41) * rng.uniform(0.5, 4.0, (50, 50))
+    A[9, :] = 0
+    A[:, 33] = A[33, :] = 0
+    edges = rd.from_arrow(fx.dense_to_edge_table(A))
+    verts = rd.from_arrow(fx.vertex_table(50))
+    kw = dict(vertices_ds=verts, num_parts=P)
+    return {"g": build_graph(edges, **kw),
+            "gb": build_graph(edges, binarize=True, **kw),
+            "gT": build_graph(K.transpose(edges), binarize=True, **kw),
+            "s": build_graph(edges, symmetrize=True, binarize=True, **kw)}
+
+
+def _run_fused_algorithms(gs):
+    """Outputs (and iteration counts) of all nine fused algorithms."""
+    import raygraph.fused as F
+    from raygraph.algorithms.hits import hits_fused
+    from raygraph.algorithms.katz import katz_fused
+    from raygraph.algorithms.pagerank import pagerank_dangling_fused
+    from raygraph.algorithms.salsa import salsa_fused
+    from raygraph.algorithms.scc import scc_fused
+
+    g, gb, gT, s = gs["g"], gs["gb"], gs["gT"], gs["s"]
+    ppr = [(i % 3 == 0).astype(np.float64) for i in gb.ids_slices()]
+    ppr = [p / sum(float(x.sum()) for x in ppr) for p in ppr]
+    out = {}
+    for ce in (1, 4):
+        out[f"pagerank/{ce}"] = F.pagerank_fused(gb, tol=1e-10, itermax=60,
+                                                 check_every=ce)
+    out["ppr"] = F.pagerank_fused(gb, tol=1e-10, itermax=60, check_every=4,
+                                  personalization=ppr)
+    out["weighted"] = F.pagerank_fused(g, tol=1e-10, itermax=60, weighted=True)
+    out["cc"] = F.cc_fused(s)
+    out["lpa"] = F.lpa_fused(s, s.ids_slices(), itermax=6)
+    out["sssp"] = F.sssp_frontier(g, 0)
+    out["katz"] = (katz_fused(gb), {})
+    out["hits"] = (hits_fused(gb, gT), {})
+    out["salsa"] = (salsa_fused(gb, gT), {})
+    out["scc"] = (scc_fused(gb, gT), {})
+    out["dangling"] = (pagerank_dangling_fused(gb), {})
+    return out
+
+
+def _assert_bit_equal(a, b, what):
+    if isinstance(a, (list, tuple)):
+        assert len(a) == len(b), what
+        for x, y in zip(a, b):
+            _assert_bit_equal(x, y, what)
+    else:
+        assert a.dtype == b.dtype and np.array_equal(a, b), what
+
+
+def test_results_do_not_depend_on_group_count(monkeypatch):
+    """W (the number of group tasks per wave) only sets the fan-out:
+    every fused algorithm returns the same bits and iteration count at
+    any W as with one group per partition."""
+    import raygraph.fused as F
+
+    for P in (1, 5, 16):
+        gs = _group_graphs(P)
+        runs = {}
+        for W in sorted({1, 2, 3, P}, reverse=True):  # W=P first
+            monkeypatch.setattr(F, "_n_groups", lambda parts, W=W: min(W, parts))
+            runs[W] = _run_fused_algorithms(gs)
+            info = runs[W]["pagerank/1"][1]
+            assert info["groups"] == min(W, P)
+        for W, got in runs.items():
+            for name, (res, info) in got.items():
+                want, want_info = runs[P][name]
+                _assert_bit_equal(res, want, f"P={P} W={W} {name}")
+                assert info.get("iters") == want_info.get("iters"), (P, W, name)
+
+
+def test_checkpoint_resumes_across_group_counts(tmp_path, monkeypatch):
+    """A checkpoint written at one group count resumes at another, bit
+    for bit: the layout is one file per partition, whatever W wrote it."""
+    import raygraph.fused as F
+
+    g = _group_graphs(5)["gb"]
+    full, info_full = F.pagerank_fused(g, tol=1e-10, itermax=80)
+    for w_write, w_resume in ((1, 3), (3, 1)):
+        ckpt = str(tmp_path / f"w{w_write}")
+        monkeypatch.setattr(F, "_n_groups", lambda parts, W=w_write: min(W, parts))
+        F.pagerank_fused(g, tol=1e-10, itermax=6, ckpt_dir=ckpt, ckpt_every=2)
+        assert sorted(os.listdir(os.path.join(ckpt, "iter=5"))) == \
+            ["_SUCCESS", "_lineage.json"] + [f"state_p{p:05d}.parquet" for p in range(5)]
+        monkeypatch.setattr(F, "_n_groups", lambda parts, W=w_resume: min(W, parts))
+        resumed, info = F.pagerank_fused(g, tol=1e-10, itermax=80, ckpt_dir=ckpt)
+        _assert_bit_equal(resumed, full, f"W {w_write} -> {w_resume}")
+        assert info["iters"] == info_full["iters"]
+
+
+def test_free_caches_drops_every_group_cache():
+    import raygraph.fused as F
+
+    g = _group_graphs(5)["g"]
+    F.pagerank_fused(g, tol=1e-8, itermax=5, weighted=True)
+    F.pagerank_fused(g, tol=1e-8, itermax=5)
+    F.sssp_frontier(g, 0)
+    assert all(getattr(g, a) is not None for a in F.CACHE_ATTRS)
+    g.free_caches()
+    assert g._fused_cache_w is None
+    assert all(getattr(g, a) is None for a in F.CACHE_ATTRS)

@@ -1,9 +1,10 @@
 """Structural guard: the fused engine has ONE superstep driver.
 
 Every fused algorithm submits its tasks through ``fused.wave`` (the only
-place that sets ``num_returns`` and builds the P×P packet-ref transpose)
-and loops through ``fused.drive``; algorithm modules hold step bodies,
-not task plumbing or single-partition special cases."""
+place that sets ``num_returns`` and routes the W×W group packets) and
+loops through ``fused.drive``; algorithm modules hold step bodies, not
+task plumbing or single-partition special cases. A superstep is one task
+per group, however many partitions the graph has."""
 
 import ast
 import pathlib
@@ -45,3 +46,38 @@ def test_fused_builds_packet_transpose_only_in_wave():
     assert _functions_containing(tree, sets_num_returns) == {"_task"}
     # the P×P ref matrix (a list of per-destination lists) lives in wave only
     assert "packets_by_q" not in src and "next_packets" not in src
+
+
+def test_pagerank_superstep_submits_one_task_per_group(monkeypatch):
+    import numpy as np
+    import pyarrow as pa
+    import ray.data as rd
+
+    import raygraph.fused as F
+    from raygraph.graph import build_graph
+
+    from raygraph.util import mix64
+
+    src = np.arange(400, dtype=np.uint64)
+    edges = pa.table({"src": src, "dst": mix64(src) % np.uint64(400)})
+    g = build_graph(rd.from_arrow(edges), num_parts=32, binarize=True)
+    W = 2
+    monkeypatch.setattr(F, "_n_groups", lambda P: min(W, P))
+    F.block_cache(g)  # built once, outside the superstep count
+    submitted = []
+
+    class Counted:
+        def __init__(self, task):
+            self.task = task
+
+        def remote(self, *args):
+            submitted.append(args)
+            return self.task.remote(*args)
+
+    real = F._task
+    monkeypatch.setattr(F, "_task", lambda *shape: Counted(real(*shape)))
+    steps = 4
+    _, info = F.pagerank_fused(g, tol=0.0, itermax=steps)
+    assert info["iters"] == steps and info["groups"] == W
+    # the seed scatter plus one wave per superstep, each at most W tasks
+    assert len(submitted) <= W * (steps + 1)
