@@ -2,10 +2,11 @@
 
 Every variant follows the sketch-then-shuffle shape: per-batch vectorized
 signature computation in ``map_batches`` (actor pools where state is
-compiled), then ONE grouped exchange on the signature key, then (for the
-near-dup variants) candidate-pair verification and clustering. Clustering
-reuses the engine's distributed connected components over the candidate
-pair graph — the dedup graph IS a link graph.
+compiled), then ONE grouped exchange on the signature key (a
+:func:`raygraph.kernels._cogroup` wherever the reduce is numpy), then
+(for the near-dup variants) candidate-pair verification and clustering.
+Clustering reuses the engine's distributed connected components over the
+candidate pair graph — the dedup graph IS a link graph.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
+from raygraph.kernels import _cogroup, _col, to_table
 from raygraph.util import mix64
 
 # ------------------------------------------------------------------ exact ----
@@ -62,66 +64,36 @@ def repeated_ngrams(docs_ds, *, n: int = 8, min_docs: int = 2,
     SQL oracle reproduces splitmix64 and the Horner token hash exactly
     with HUGEINT split-multiply arithmetic, see oracles._mix64_sql);
     per-batch the (gram, doc) pairs are locally uniqued with occurrence
-    counts (combiner); the final reduce is the ``distinct_pairs``
-    coarse-bucket pattern — mix-bucketed ONE shuffle, one vectorized
+    counts (combiner); the final reduce is ONE
+    :func:`raygraph.kernels._cogroup` keyed on the gram, one vectorized
     lexsort + reduceat per bucket, never one Python call per gram.
     """
     import binascii
 
-    def grams(t: pa.Table) -> pa.Table:
-        ids = np.asarray(t[id_col].to_numpy(zero_copy_only=False), np.int64)
-        texts = t[text_col].to_pylist()
-        g_out, d_out, c_out = [], [], []
-        with np.errstate(over="ignore"):
-            for did, s in zip(ids, texts):
-                toks = (s or "").split()
-                if len(toks) < n:
-                    continue
-                hs = _token_hashes(toks)
-                m = len(hs) - n + 1
-                g = mix64(hs[:m])
-                for j in range(1, n):
-                    g = mix64(g ^ hs[j:m + j])
-                u, c = np.unique(g, return_counts=True)
-                g_out.append(u)
-                d_out.append(np.full(len(u), did, np.int64))
-                c_out.append(c.astype(np.int64))
-        if not g_out:
-            return pa.table({"bucket": pa.array([], pa.int32()),
-                             "gram": pa.array([], pa.uint64()),
-                             id_col: pa.array([], pa.int64()),
-                             "cnt": pa.array([], pa.int64())})
-        g_all = np.concatenate(g_out)
-        return pa.table({
-            "bucket": (g_all % np.uint64(num_buckets)).astype(np.int32),
-            "gram": g_all,
-            id_col: np.concatenate(d_out),
-            "cnt": np.concatenate(c_out),
-        })
+    def grams(t: pa.Table) -> dict:
+        ids = _col(t, id_col, np.int64)
+        g_out = [np.empty(0, np.uint64)]
+        d_out = [np.empty(0, np.int64)]
+        c_out = [np.empty(0, np.int64)]
+        for did, s in zip(ids, t[text_col].to_pylist()):
+            u, c = np.unique(_gram_chain((s or "").split(), n),
+                             return_counts=True)
+            g_out.append(u)
+            d_out.append(np.full(len(u), did, np.int64))
+            c_out.append(c.astype(np.int64))
+        return {"gram": np.concatenate(g_out), id_col: np.concatenate(d_out),
+                "cnt": np.concatenate(c_out)}
 
-    pairs = docs_ds.map_batches(grams, batch_format="pyarrow")
-
-    def stats(g: pa.Table) -> pa.Table:
+    def stats(g: dict) -> pa.Table:
         """One vectorized pass per bucket: (gram, doc) rows are globally
         unique (uniqued per doc, one row per doc), so n_docs is the group
         size."""
-        gr = np.asarray(g["gram"].to_numpy(zero_copy_only=False), np.uint64)
-        d = np.asarray(g[id_col].to_numpy(zero_copy_only=False), np.int64)
-        c = np.asarray(g["cnt"].to_numpy(zero_copy_only=False), np.int64)
-        empty = pa.table({"gram": pa.array([], pa.string()),
-                          "n_occ": pa.array([], pa.int64()),
-                          "n_docs": pa.array([], pa.int64()),
-                          "min_doc": pa.array([], pa.int64())})
-        if len(gr) == 0:
-            return empty
-        order = np.argsort(gr, kind="stable")
-        gr, d, c = gr[order], d[order], c[order]
+        order = np.argsort(g["gram"], kind="stable")
+        gr, d, c = g["gram"][order], g[id_col][order], g["cnt"][order]
         new = np.r_[True, gr[1:] != gr[:-1]]
         starts = np.flatnonzero(new)
         n_docs = np.diff(np.r_[starts, len(gr)])
         keep = n_docs >= min_docs
-        if not keep.any():
-            return empty
         n_occ = np.add.reduceat(c, starts)[keep]
         min_doc = np.minimum.reduceat(d, starts)[keep]
         gsel = gr[starts][keep]
@@ -134,7 +106,8 @@ def repeated_ngrams(docs_ds, *, n: int = 8, min_docs: int = 2,
                          "n_docs": n_docs[keep].astype(np.int64),
                          "min_doc": min_doc})
 
-    return pairs.groupby("bucket").map_groups(stats, batch_format="pyarrow")
+    return _cogroup([(docs_ds, grams)], stats, key="gram",
+                    num_buckets=num_buckets)
 
 
 def ngram_scrub(docs_ds, *, n: int = 8, min_docs: int = 2,
@@ -178,34 +151,29 @@ def ngram_scrub(docs_ds, *, n: int = 8, min_docs: int = 2,
         ids = np.asarray(t[id_col].to_numpy(zero_copy_only=False), np.int64)
         texts = t[text_col].to_pylist()
         o_id, o_nt, o_cov, o_sp = [], [], [], []
-        with np.errstate(over="ignore"):
-            for did, s in zip(ids, texts):
-                toks = (s or "").split()
-                nt = len(toks)
-                if nt == 0:
-                    continue
-                cov_n = spans = 0
-                if nt >= nn and len(ks):
-                    hs = _token_hashes(toks)
-                    m = nt - nn + 1
-                    g = mix64(hs[:m])
-                    for j in range(1, nn):
-                        g = mix64(g ^ hs[j:m + j])
-                    idx = np.searchsorted(ks, g)
-                    ok = idx < len(ks)
-                    ok[ok] = ks[idx[ok]] == g[ok]
-                    hits = np.flatnonzero(ok)
-                    if len(hits):
-                        delta = np.zeros(nt + 1, np.int64)
-                        np.add.at(delta, hits, 1)
-                        np.add.at(delta, hits + nn, -1)
-                        cov = np.cumsum(delta[:nt]) > 0
-                        cov_n = int(cov.sum())
-                        spans = int((cov & ~np.r_[False, cov[:-1]]).sum())
-                o_id.append(did)
-                o_nt.append(nt)
-                o_cov.append(cov_n)
-                o_sp.append(spans)
+        for did, s in zip(ids, texts):
+            toks = (s or "").split()
+            nt = len(toks)
+            if nt == 0:
+                continue
+            cov_n = spans = 0
+            if nt >= nn and len(ks):
+                g = _gram_chain(toks, nn)
+                idx = np.searchsorted(ks, g)
+                ok = idx < len(ks)
+                ok[ok] = ks[idx[ok]] == g[ok]
+                hits = np.flatnonzero(ok)
+                if len(hits):
+                    delta = np.zeros(nt + 1, np.int64)
+                    np.add.at(delta, hits, 1)
+                    np.add.at(delta, hits + nn, -1)
+                    cov = np.cumsum(delta[:nt]) > 0
+                    cov_n = int(cov.sum())
+                    spans = int((cov & ~np.r_[False, cov[:-1]]).sum())
+            o_id.append(did)
+            o_nt.append(nt)
+            o_cov.append(cov_n)
+            o_sp.append(spans)
         nt_a = np.asarray(o_nt, np.int64)
         cov_a = np.asarray(o_cov, np.int64)
         return pa.table({
@@ -292,52 +260,41 @@ def distinct_pairs(pairs_ds, *, val_col: str | None = None, val_reduce: str = "m
     """Distinct (a,b) pairs via coarse-bucketed vectorized dedup.
 
     A plain ``groupby(["a","b"]).aggregate`` pays per-group overhead on
-    hundreds of thousands of tiny groups; here pairs hash into
-    ``num_buckets`` coarse buckets (ONE shuffle) and each bucket dedups
-    with a numpy lexsort — constant group count regardless of pair count.
+    hundreds of thousands of tiny groups; here ONE
+    :func:`raygraph.kernels._cogroup` keyed on ``(a, b)`` puts the pairs
+    in ``num_buckets`` buckets and each bucket dedups with a numpy
+    lexsort — constant group count regardless of pair count.
     ``val_col`` optionally carries a value reduced per pair (min/max).
     """
     red = {"min": np.minimum, "max": np.maximum}[val_reduce]
 
-    def add_bucket(t: pa.Table) -> pa.Table:
-        a = np.asarray(t["a"].to_numpy(zero_copy_only=False), np.uint64)
-        b = np.asarray(t["b"].to_numpy(zero_copy_only=False), np.uint64)
-        with np.errstate(over="ignore"):
-            bk = mix64(a * np.uint64(0x9E3779B97F4A7C15) ^ b) % np.uint64(num_buckets)
-        return t.append_column("_pb", pa.array(bk.astype(np.int32)))
+    def cols(t: pa.Table) -> dict:
+        c = {n: _col(t, n, np.int64) for n in ("a", "b")}
+        if val_col is not None:
+            c[val_col] = _col(t, val_col)
+        return c
 
-    def uniq(g: pd.DataFrame) -> pd.DataFrame:
-        a = g["a"].to_numpy(np.int64)
-        b = g["b"].to_numpy(np.int64)
-        if len(a) == 0:
-            out = {"a": a, "b": b}
-            if val_col is not None:
-                out[val_col] = g[val_col].to_numpy()
-            return pd.DataFrame(out)
-        order = np.lexsort((b, a))
-        a, b = a[order], b[order]
+    def uniq(g: dict) -> pa.Table:
+        order = np.lexsort((g["b"], g["a"]))
+        a, b = g["a"][order], g["b"][order]
         new = np.r_[True, (a[1:] != a[:-1]) | (b[1:] != b[:-1])]
         starts = np.flatnonzero(new)
         out = {"a": a[starts], "b": b[starts]}
         if val_col is not None:
-            v = g[val_col].to_numpy()[order]
-            out[val_col] = red.reduceat(v, starts) if len(v) else v
-        return pd.DataFrame(out)
+            out[val_col] = red.reduceat(g[val_col][order], starts)
+        return pa.table(out)
 
-    return (
-        pairs_ds.map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("_pb")
-        .map_groups(uniq, batch_format="pandas")
-    )
+    return _cogroup([(pairs_ds, cols)], uniq, key=("a", "b"),
+                    num_buckets=num_buckets)
 
 
-def _band_rows(t: pa.Table, id_col: str, bands: int, rows: int) -> pa.Table:
-    """Explode signatures into (band, band_hash, id) rows for LSH bucketing."""
-    ids = np.asarray(t[id_col].to_numpy(zero_copy_only=False))
+def _band_rows(t: pa.Table, id_col: str, bands: int, rows: int) -> dict:
+    """Explode signatures into (band, band_hash, id) columns for LSH
+    bucketing."""
+    ids = _col(t, id_col, np.int64)
     if len(ids) == 0:  # np.stack([]) raises on zero-row blocks
-        return pa.table({"band": pa.array([], pa.int32()),
-                         "band_hash": pa.array([], pa.uint64()),
-                         id_col: t[id_col]})
+        return {"band": np.empty(0, np.int32),
+                "band_hash": np.empty(0, np.uint64), id_col: ids}
     sig = np.stack([np.asarray(x) for x in t["minhash"].to_pylist()]).astype(np.uint64)
     out_band, out_hash, out_id = [], [], []
     with np.errstate(over="ignore"):
@@ -349,13 +306,9 @@ def _band_rows(t: pa.Table, id_col: str, bands: int, rows: int) -> pa.Table:
             out_band.append(np.full(len(seg), b, np.int32))
             out_hash.append(h)
             out_id.append(ids)
-    return pa.table(
-        {
-            "band": np.concatenate(out_band),
+    return {"band": np.concatenate(out_band),
             "band_hash": np.concatenate(out_hash),
-            id_col: np.concatenate(out_id),
-        }
-    )
+            id_col: np.concatenate(out_id)}
 
 
 _GRAM_P = np.uint64(1099511628211)
@@ -395,19 +348,7 @@ def _word_ngram_hashes(texts, n: int = 3):
     Jaccard over these hashes equals Jaccard over the n-gram strings up
     to 64-bit collisions (deterministic; verified by the driver oracle).
     Token hashes loop per unique token; gram combination is vectorized."""
-    out = []
-    with np.errstate(over="ignore"):
-        for s in texts:
-            toks = (s or "").split()
-            if len(toks) < n:
-                out.append(np.empty(0, np.uint64))
-                continue
-            hs = _token_hashes(toks)
-            g = mix64(hs[: len(hs) - n + 1])
-            for j in range(1, n):
-                g = mix64(g ^ hs[j: len(hs) - n + 1 + j])
-            out.append(np.unique(g))
-    return out
+    return [np.unique(_gram_chain((s or "").split(), n)) for s in texts]
 
 
 def _attach_grams(rows_ds, grams_ds, key_col: str, out_col: str,
@@ -479,32 +420,18 @@ def minhash_lsh_pairs(
         batch_size=1024,
     )
 
-    def banded_with_coarse(t: pa.Table) -> pa.Table:
-        b = _band_rows(t, id_col, bands, rows)
-        with np.errstate(over="ignore"):
-            coarse = mix64(
-                np.asarray(b["band_hash"].to_numpy(zero_copy_only=False), np.uint64)
-                ^ (np.asarray(b["band"].to_numpy(zero_copy_only=False), np.uint64) + 1)
-                * np.uint64(0x9E3779B97F4A7C15)
-            ) % np.uint64(64)
-        return b.append_column("coarse", pa.array(coarse.astype(np.int32)))
-
-    banded = signed.map_batches(banded_with_coarse, batch_format="pyarrow")
-
-    # coarse hash buckets: many tiny (band, band_hash) groups ride one group,
+    # co-group buckets: many tiny (band, band_hash) groups ride one bucket,
     # pair generation is vectorized inside (per-group python calls would
     # dominate at scale)
-    def bucket_pairs(g: pd.DataFrame) -> pd.DataFrame:
-        band = g["band"].to_numpy(np.int64)
-        bh = g["band_hash"].to_numpy(np.uint64)
-        ids = g[id_col].to_numpy(np.int64)
-        order, starts, sizes = _segments_of([band, bh], ids)
+    def bucket_pairs(g: dict) -> pa.Table:
+        ids = g[id_col]
+        order, starts, sizes = _segments_of([g["band"], g["band_hash"]], ids)
         a, b = _pairs_in_segments(ids[order], starts, sizes)
-        return pd.DataFrame({"a": a, "b": b})
+        return pa.table({"a": a, "b": b})
 
-    pairs = distinct_pairs(
-        banded.groupby("coarse").map_groups(bucket_pairs, batch_format="pandas")
-    )
+    banded = (signed, lambda t: _band_rows(t, id_col, bands, rows))
+    pairs = distinct_pairs(_cogroup([banded], bucket_pairs,
+                                    key=("band", "band_hash")))
 
     # exact verification: per-doc n-gram hash sets, co-group-joined onto
     # the pair table (no driver collection, no broadcast — the signature
@@ -640,50 +567,28 @@ def simhash_pairs(docs_ds, *, id_col: str = "doc_id", max_hamming: int = 3):
     signed = docs_ds.map_batches(SimHasher, batch_format="pandas",
                                  concurrency=(1, 8), batch_size=2048)
 
-    def chunks(t: pa.Table) -> pa.Table:
-        ids = np.asarray(t[id_col].to_numpy(zero_copy_only=False))
+    def chunks(t: pa.Table) -> dict:
+        ids = _col(t, id_col, np.int64)
         sh = np.asarray(t["simhash"].to_numpy(zero_copy_only=False), np.uint64)
-        out = []
-        for c in range(4):
-            key = (sh >> np.uint64(16 * c)) & np.uint64(0xFFFF)
-            out.append(pa.table({"chunk": np.full(len(ids), c, np.int32),
-                                 "key": key, id_col: ids, "simhash": sh}))
-        return pa.concat_tables(out)
+        shifts = np.arange(4, dtype=np.uint64) * np.uint64(16)
+        return {"chunk": np.repeat(np.arange(4, dtype=np.int32), len(ids)),
+                "key": ((sh[None, :] >> shifts[:, None])
+                        & np.uint64(0xFFFF)).ravel(),
+                id_col: np.tile(ids, 4), "simhash": np.tile(sh, 4)}
 
-    def bucket_pairs(g: pd.DataFrame) -> pd.DataFrame:
-        chunk = g["chunk"].to_numpy(np.int64)
-        key = g["key"].to_numpy(np.uint64)
-        ids = g[id_col].to_numpy(np.int64)
-        sh = g["simhash"].to_numpy(np.uint64)
-        order, starts, sizes = _segments_of([chunk, key], ids)
-        ids_s, sh_s = ids[order], sh[order]
+    def bucket_pairs(g: dict) -> pa.Table:
+        order, starts, sizes = _segments_of([g["chunk"], g["key"]], g[id_col])
+        ids_s, sh_s = g[id_col][order], g["simhash"][order]
         pos = np.arange(len(ids_s))
         ia, ib = _pairs_in_segments(pos, starts, sizes, cap=500)
-        if len(ia) == 0:
-            # typed empty frame: an untyped one forks block schemas
-            return pd.DataFrame({"a": pd.Series([], dtype=np.int64),
-                                 "b": pd.Series([], dtype=np.int64),
-                                 "hamming": pd.Series([], dtype=np.int64)})
         x = sh_s[ia] ^ sh_s[ib]
         ham = np.unpackbits(x[:, None].view(np.uint8), axis=1).sum(axis=1)
         keep = ham <= max_hamming
-        return pd.DataFrame({"a": ids_s[ia][keep], "b": ids_s[ib][keep],
-                             "hamming": ham[keep].astype(np.int64)})
-
-    def chunks_with_coarse(t: pa.Table) -> pa.Table:
-        c = chunks(t)
-        with np.errstate(over="ignore"):
-            coarse = mix64(
-                np.asarray(c["key"].to_numpy(zero_copy_only=False), np.uint64)
-                ^ (np.asarray(c["chunk"].to_numpy(zero_copy_only=False), np.uint64) + 1)
-                * np.uint64(0x9E3779B97F4A7C15)
-            ) % np.uint64(64)
-        return c.append_column("coarse", pa.array(coarse.astype(np.int32)))
+        return pa.table({"a": ids_s[ia][keep], "b": ids_s[ib][keep],
+                         "hamming": ham[keep].astype(np.int64)})
 
     return distinct_pairs(
-        signed.map_batches(chunks_with_coarse, batch_format="pyarrow")
-        .groupby("coarse")
-        .map_groups(bucket_pairs, batch_format="pandas"),
+        _cogroup([(signed, chunks)], bucket_pairs, key=("chunk", "key")),
         val_col="hamming",
         val_reduce="min",
     )
@@ -732,29 +637,16 @@ def benchmark_gram_set(bench_ds, *, n: int = 5, text_col: str = "text",
     are MBs against a 100 TB corpus) distinct-key set come to the
     driver. ``max_grams`` (default 2^26 keys = 512 MB) rejects the
     out-of-regime case instead of silently degrading."""
-    def grams(t: pa.Table) -> pa.Table:
-        texts = t[text_col].to_pylist()
-        out = []
-        for s in texts:
-            g = _gram_chain((s or "").split(), n)
-            if len(g):
-                out.append(np.unique(g))
-        g = np.unique(np.concatenate(out)) if out else np.empty(0, np.uint64)
-        return pa.table({
-            "bucket": (g % np.uint64(num_buckets)).astype(np.int32),
-            "gram": g})
+    def grams(t: pa.Table) -> dict:
+        return {"gram": np.unique(np.concatenate(
+            [np.empty(0, np.uint64)]
+            + [_gram_chain((s or "").split(), n)
+               for s in t[text_col].to_pylist()]))}
 
-    def uniq(g: pa.Table) -> pa.Table:
-        u = np.unique(np.asarray(g["gram"].to_numpy(zero_copy_only=False),
-                                 np.uint64))
-        return pa.table({"gram": u})
-
-    from raygraph import kernels as K
-
-    tbl = K.to_table(
-        bench_ds.map_batches(grams, batch_format="pyarrow")
-        .groupby("bucket").map_groups(uniq, batch_format="pyarrow"),
-        sort_by=None)
+    tbl = to_table(_cogroup([(bench_ds, grams)],
+                            lambda g: pa.table({"gram": np.unique(g["gram"])}),
+                            key="gram", num_buckets=num_buckets),
+                   sort_by=None)
     if tbl.num_rows > max_grams:
         raise ValueError(
             f"benchmark_gram_set: {tbl.num_rows} grams exceeds the broadcast "
@@ -880,21 +772,14 @@ def doc_repetition(docs_ds, *, n: int = 3, text_col: str = "text",
         ids = np.asarray(t[id_col].to_numpy(zero_copy_only=False), np.int64)
         texts = t[text_col].to_pylist()
         d_out, m_out, r_out = [], [], []
-        with np.errstate(over="ignore"):
-            for did, s in zip(ids, texts):
-                toks = (s or "").split()
-                if len(toks) < n:
-                    continue
-                hs = _token_hashes(toks)
-                m = len(hs) - n + 1
-                g = mix64(hs[:m])
-                for j in range(1, n):
-                    g = mix64(g ^ hs[j:m + j])
-                _, inv, c = np.unique(g, return_inverse=True,
-                                      return_counts=True)
-                d_out.append(did)
-                m_out.append(m)
-                r_out.append(int((c[inv] >= 2).sum()))
+        for did, s in zip(ids, texts):
+            g = _gram_chain((s or "").split(), n)
+            if not len(g):
+                continue
+            _, inv, c = np.unique(g, return_inverse=True, return_counts=True)
+            d_out.append(did)
+            m_out.append(len(g))
+            r_out.append(int((c[inv] >= 2).sum()))
         m_a = np.asarray(m_out, np.int64)
         r_a = np.asarray(r_out, np.int64)
         return pa.table({

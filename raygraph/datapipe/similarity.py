@@ -2,10 +2,12 @@
 
 Brute-force cosine top-k is the exact baseline: per-batch numpy matmul
 of the (normalized) batch matrix against a broadcast query matrix
-(``ray.put`` once), per-batch partial top-k, then a grouped final top-k —
-so the full score matrix never materializes. The LSH-bucketed variant is
-the scale path: random-hyperplane signatures bucket both sides and only
-matching buckets are scored (approximate; documents the recall trade).
+(``ray.put`` once), per-batch partial top-k (:func:`_topk_partial`), then
+ONE final top-k co-group keyed on the query (:func:`_final_topk`, shared
+by every kNN variant) — so the full score matrix never materializes. The
+LSH-bucketed variant is the scale path: random-hyperplane signatures
+bucket both sides and only matching buckets are scored (approximate;
+documents the recall trade).
 """
 
 from __future__ import annotations
@@ -13,6 +15,8 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+
+from raygraph.kernels import _cogroup, _col
 
 
 def _normalize(m: np.ndarray) -> np.ndarray:
@@ -60,6 +64,50 @@ def _emb_matrix(t: pa.Table, col: str) -> np.ndarray:
     return m.astype(np.float64)
 
 
+def _topk_partial(hits, k: int, id_col: str) -> pa.Table:
+    """Per-batch partial top-k (the combiner before the final shuffle):
+    ``hits`` yields ``(query_id, ids, sims)`` per query. Tie-aware:
+    argpartition, then widen to ALL candidates tied with the k-th sim
+    and break ties by ascending id — otherwise a tied candidate with a
+    smaller id could be dropped batch-dependently before the final sort
+    (ADVICE r1)."""
+    out_q = [np.empty(0, np.int64)]
+    out_i = [np.empty(0, np.int64)]
+    out_s = [np.empty(0, np.float64)]
+    for qid, ids, s in hits:
+        kk = min(k, len(s))
+        part = np.argpartition(-s, kk - 1)[:kk]
+        cand = np.flatnonzero(s >= s[part].min())
+        top = cand[np.lexsort((ids[cand], -s[cand]))[:kk]]
+        out_q.append(np.full(kk, qid, np.int64))
+        out_i.append(ids[top].astype(np.int64))
+        out_s.append(s[top])
+    return pa.table({"query_id": np.concatenate(out_q),
+                     id_col: np.concatenate(out_i),
+                     "sim": np.concatenate(out_s)})
+
+
+def _final_topk(partial, k: int, id_col: str, score: str = "sim",
+                descending: bool = True):
+    """Final per-query top-k with 1-based ``rank``: ONE
+    :func:`raygraph.kernels._cogroup` keyed on ``query_id``; each bucket
+    sorts by (query, score, id) — ties to the smallest id — and keeps
+    the first k rows of every query."""
+    def top(g: dict) -> pa.Table:
+        q, i, s = g["query_id"], g[id_col], g[score]
+        order = np.lexsort((i, -s if descending else s, q))
+        q = q[order]
+        starts = np.flatnonzero(np.r_[True, q[1:] != q[:-1]])
+        rank = np.arange(1, len(q) + 1) - np.repeat(
+            starts, np.diff(np.r_[starts, len(q)]))
+        keep = rank <= k
+        sel = order[keep]
+        return pa.table({"query_id": q[keep], id_col: i[sel], score: s[sel],
+                         "rank": rank[keep].astype(np.int64)})
+
+    return _cogroup([(partial, None)], top, key="query_id")
+
+
 def knn_cosine(
     emb_ds,
     queries: np.ndarray,
@@ -96,43 +144,15 @@ def knn_cosine(
 
     def score(t: pa.Table) -> pa.Table:
         q = ray.get(qref)
-        ids = np.asarray(t[id_col].to_numpy(zero_copy_only=False))
-        m = _emb_matrix(t, emb_col)
+        ids = _col(t, id_col)
         if len(ids) == 0:
-            return pa.table({"query_id": pa.array([], pa.int64()),
-                             id_col: pa.array([], pa.int64()),
-                             "sim": pa.array([], pa.float64())})
-        sims = _normalize(m) @ q.T  # (batch, Q)
-        kk = min(k, len(ids))
-        # per-batch partial top-k per query (combiner before the shuffle)
-        out_q, out_i, out_s = [], [], []
-        for qi in range(q.shape[0]):
-            s = sims[:, qi]
-            # tie-aware partial top-k: argpartition, then widen to ALL
-            # candidates tied with the k-th sim and break ties by ascending
-            # id — otherwise a tied candidate with a smaller id could be
-            # dropped batch-dependently before the final sort (ADVICE r1)
-            part = np.argpartition(-s, kk - 1)[:kk]
-            kth = s[part].min()
-            cand = np.flatnonzero(s >= kth)
-            order = np.lexsort((ids[cand], -s[cand]))[:kk]
-            top = cand[order]
-            out_q.append(np.full(kk, qids[qi], np.int64))
-            out_i.append(ids[top].astype(np.int64))
-            out_s.append(s[top])
-        return pa.table({"query_id": np.concatenate(out_q),
-                         id_col: np.concatenate(out_i),
-                         "sim": np.concatenate(out_s)})
+            return _topk_partial((), k, id_col)
+        sims = _normalize(_emb_matrix(t, emb_col)) @ q.T  # (batch, Q)
+        return _topk_partial(((qids[qi], ids, sims[:, qi])
+                              for qi in range(q.shape[0])), k, id_col)
 
     partial = emb_ds.map_batches(score, batch_format="pyarrow")
-
-    def final_topk(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["sim", id_col], ascending=[False, True]).head(k)
-        g = g.reset_index(drop=True)
-        g["rank"] = np.arange(1, len(g) + 1, dtype=np.int64)
-        return g
-
-    return partial.groupby("query_id").map_groups(final_topk, batch_format="pandas")
+    return _final_topk(partial, k, id_col)
 
 
 class BandedHyperplaneLSH:
@@ -264,52 +284,30 @@ def knn_cosine_lsh(
         # wide layout: one row per vector with a (bands,) bucket list —
         # the embedding payload travels ONCE, not once per band
         q, qbk, qids_arr = ray.get(qref)
-        ids = np.asarray(t[id_col].to_numpy(zero_copy_only=False), np.int64)
+        ids = _col(t, id_col, np.int64)
         if len(ids) == 0:
-            return pa.table({"query_id": pa.array([], pa.int64()),
-                             id_col: pa.array([], pa.int64()),
-                             "sim": pa.array([], pa.float64())})
+            return _topk_partial((), k, id_col)
         bcol = t["buckets"]
         if isinstance(bcol, pa.ChunkedArray):
             bcol = bcol.combine_chunks()
         B = np.asarray(bcol.flatten()).reshape(len(ids), -1)  # (n, bands)
-        out_q, out_i, out_s = [], [], []
-        m = None
-        for qi in range(q.shape[0]):
-            # candidate iff ANY band's bucket matches the query's
-            sel = (B == qbk[qi][None, :]).any(axis=1)
-            if not sel.any():
-                continue
-            if m is None:
-                m = _normalize(_emb_matrix(t, emb_col))
-            rows = np.flatnonzero(sel)
-            s = m[rows] @ q[qi]
-            kk = min(k, len(rows))
-            part = np.argpartition(-s, kk - 1)[:kk]
-            kth = s[part].min()
-            cand = np.flatnonzero(s >= kth)
-            order = np.lexsort((ids[rows][cand], -s[cand]))[:kk]
-            top = cand[order]
-            out_q.append(np.full(len(top), qids_arr[qi], np.int64))
-            out_i.append(ids[rows][top])
-            out_s.append(s[top])
-        if not out_q:
-            return pa.table({"query_id": pa.array([], pa.int64()),
-                             id_col: pa.array([], pa.int64()),
-                             "sim": pa.array([], pa.float64())})
-        return pa.table({"query_id": np.concatenate(out_q),
-                         id_col: np.concatenate(out_i),
-                         "sim": np.concatenate(out_s)})
+
+        def hits():
+            m = None
+            for qi in range(q.shape[0]):
+                # candidate iff ANY band's bucket matches the query's
+                sel = (B == qbk[qi][None, :]).any(axis=1)
+                if not sel.any():
+                    continue
+                if m is None:
+                    m = _normalize(_emb_matrix(t, emb_col))
+                rows = np.flatnonzero(sel)
+                yield qids_arr[qi], ids[rows], m[rows] @ q[qi]
+
+        return _topk_partial(hits(), k, id_col)
 
     partial = bucketed.map_batches(score, batch_format="pyarrow")
-
-    def final_topk(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["sim", id_col], ascending=[False, True]).head(k)
-        g = g.reset_index(drop=True)
-        g["rank"] = np.arange(1, len(g) + 1, dtype=np.int64)
-        return g
-
-    return partial.groupby("query_id").map_groups(final_topk, batch_format="pandas")
+    return _final_topk(partial, k, id_col)
 
 
 def _ivf_centroids(emb_ds, nlist: int, id_col: str, emb_col: str):
@@ -444,52 +442,30 @@ def knn_cosine_ivf(
 
     def assign_score(t: pa.Table) -> pa.Table:
         q, qids_arr, prb, cq = ray.get(qref)
-        ids = np.asarray(t[id_col].to_numpy(zero_copy_only=False), np.int64)
+        ids = _col(t, id_col, np.int64)
         if len(ids) == 0:
-            return pa.table({"query_id": pa.array([], pa.int64()),
-                             id_col: pa.array([], pa.int64()),
-                             "sim": pa.array([], pa.float64())})
+            return _topk_partial((), k, id_col)
         m = _emb_matrix(t, emb_col)
         # coarse assignment: argmax over centroids (columns pre-sorted by
         # ascending cid, so ties go to the smallest centroid id — same rule
         # as the SQL oracle's row_number ORDER BY dot DESC, cid ASC)
         assign = np.argmax(_quantize(m) @ cq.T, axis=1)
-        mn = None
-        out_q, out_i, out_s = [], [], []
-        for qi in range(q.shape[0]):
-            sel = np.isin(assign, prb[qi])
-            if not sel.any():
-                continue
-            if mn is None:
-                mn = _normalize(m)
-            rows = np.flatnonzero(sel)
-            s = mn[rows] @ q[qi]
-            kk = min(k, len(rows))
-            part = np.argpartition(-s, kk - 1)[:kk]
-            kth = s[part].min()
-            cand = np.flatnonzero(s >= kth)
-            order = np.lexsort((ids[rows][cand], -s[cand]))[:kk]
-            top = cand[order]
-            out_q.append(np.full(len(top), qids_arr[qi], np.int64))
-            out_i.append(ids[rows][top])
-            out_s.append(s[top])
-        if not out_q:
-            return pa.table({"query_id": pa.array([], pa.int64()),
-                             id_col: pa.array([], pa.int64()),
-                             "sim": pa.array([], pa.float64())})
-        return pa.table({"query_id": np.concatenate(out_q),
-                         id_col: np.concatenate(out_i),
-                         "sim": np.concatenate(out_s)})
+
+        def hits():
+            mn = None
+            for qi in range(q.shape[0]):
+                sel = np.isin(assign, prb[qi])
+                if not sel.any():
+                    continue
+                if mn is None:
+                    mn = _normalize(m)
+                rows = np.flatnonzero(sel)
+                yield qids_arr[qi], ids[rows], mn[rows] @ q[qi]
+
+        return _topk_partial(hits(), k, id_col)
 
     partial = emb_ds.map_batches(assign_score, batch_format="pyarrow")
-
-    def final_topk(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["sim", id_col], ascending=[False, True]).head(k)
-        g = g.reset_index(drop=True)
-        g["rank"] = np.arange(1, len(g) + 1, dtype=np.int64)
-        return g
-
-    return partial.groupby("query_id").map_groups(final_topk, batch_format="pandas")
+    return _final_topk(partial, k, id_col)
 
 
 def embedding_near_dups(emb_ds, *, threshold: float = 0.95, id_col: str = "vec_id",
@@ -511,19 +487,17 @@ def embedding_near_dups(emb_ds, *, threshold: float = 0.95, id_col: str = "vec_i
         concurrency=(1, 4),
     )
 
-    def bucket_pairs(g: pd.DataFrame) -> pd.DataFrame:
-        # group = one coarse hash bucket holding many (band, bucket) cells
-        band = g["band"].to_numpy(np.int64)
-        bk = g["bucket"].to_numpy(np.int64)
-        ids = g[id_col].to_numpy(np.int64)
-        order = np.lexsort((ids, bk, band))
-        band, bk, ids = band[order], bk[order], ids[order]
+    def bucket_pairs(g: dict) -> pa.Table:
+        # group = one co-group bucket holding many (band, bucket) cells
+        order = np.lexsort((g[id_col], g["cell"], g["band"]))
+        band, bk, ids = g["band"][order], g["cell"][order], g[id_col][order]
         m = _normalize(np.stack([np.asarray(e, np.float64)
-                                 for e in g[emb_col].to_numpy()[order]]))
+                                 for e in g[emb_col][order]]))
         change = np.r_[True, (band[1:] != band[:-1]) | (bk[1:] != bk[:-1])]
         starts = np.flatnonzero(change)
         sizes = np.diff(np.r_[starts, len(band)])
-        a_out, b_out, s_out = [], [], []
+        a_out, b_out = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
+        s_out = [np.empty(0, np.float64)]
         for s, sz in zip(starts, sizes):
             if sz < 2 or sz > 1000:
                 continue
@@ -534,29 +508,21 @@ def embedding_near_dups(emb_ds, *, threshold: float = 0.95, id_col: str = "vec_i
             a_out.append(ids[seg][iu[keep]])
             b_out.append(ids[seg][ju[keep]])
             s_out.append(sims[iu, ju][keep])
-        if not a_out:
-            return pd.DataFrame({"a": pd.Series([], dtype=np.int64),
-                                 "b": pd.Series([], dtype=np.int64),
-                                 "sim": pd.Series([], dtype=np.float64)})
-        return pd.DataFrame({"a": np.concatenate(a_out),
-                             "b": np.concatenate(b_out),
-                             "sim": np.concatenate(s_out)})
+        return pa.table({"a": np.concatenate(a_out),
+                         "b": np.concatenate(b_out),
+                         "sim": np.concatenate(s_out)})
 
-    def coarse(t: pa.Table) -> pa.Table:
-        from raygraph.util import mix64
-
-        band = np.asarray(t["band"].to_numpy(zero_copy_only=False), np.uint64)
-        bk = np.asarray(t["bucket"].to_numpy(zero_copy_only=False), np.uint64)
-        with np.errstate(over="ignore"):
-            c = mix64(bk ^ (band + np.uint64(1)) * np.uint64(0x9E3779B97F4A7C15)) % np.uint64(64)
-        return t.append_column("coarse", pa.array(c.astype(np.int32)))
+    def cols(t: pa.Table) -> dict:
+        # the LSH bucket is the co-group's ``cell`` (``bucket`` is the
+        # co-group's own column); the embedding rides as Arrow
+        return {id_col: _col(t, id_col, np.int64),
+                "band": _col(t, "band", np.int64),
+                "cell": _col(t, "bucket", np.int64), emb_col: t[emb_col]}
 
     from raygraph.datapipe.dedup import distinct_pairs
 
     return distinct_pairs(
-        bucketed.map_batches(coarse, batch_format="pyarrow")
-        .groupby("coarse")
-        .map_groups(bucket_pairs, batch_format="pandas"),
+        _cogroup([(bucketed, cols)], bucket_pairs, key=("band", "cell")),
         val_col="sim",
         val_reduce="max",
     )
@@ -630,6 +596,8 @@ def group_centroids(emb_ds, *, group_col: str = "label",
                              "dim": np.arange(len(c), dtype=np.int64),
                              "centroid": c})
 
+    # not a kernels._cogroup: a true per-group final over list<float> sum
+    # vectors, one call per group
     return parts.groupby("grp").map_groups(fin, batch_format="pandas")
 
 
@@ -684,6 +652,8 @@ def dim_stats(emb_ds, *, emb_col: str = "embedding"):
             "max_v": [float(df["mx"].max())],
         })
 
+    # not a kernels._cogroup: a true per-dimension final of the moment
+    # partials, one call per dimension
     return parts.groupby("dim").map_groups(fin, batch_format="pandas")
 
 
@@ -862,8 +832,6 @@ def knn_pq_adc(emb_ds, queries: np.ndarray, *, k: int = 10,
     """
     import ray
 
-    import pandas as pd
-
     Q = np.asarray(queries, np.float64)
     qids = (np.arange(Q.shape[0], dtype=np.int64) if query_ids is None
             else np.asarray(query_ids, np.int64))
@@ -917,14 +885,7 @@ def knn_pq_adc(emb_ds, queries: np.ndarray, *, k: int = 10,
                          "adist": np.concatenate(out_d)})
 
     partials = emb_ds.map_batches(partial, batch_format="pyarrow")
-
-    def final(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["adist", id_col]).head(k).reset_index(drop=True)
-        g["rank"] = np.arange(1, len(g) + 1, dtype=np.int64)
-        return g
-
-    return partials.groupby("query_id").map_groups(final,
-                                                   batch_format="pandas")
+    return _final_topk(partials, k, id_col, score="adist", descending=False)
 
 
 def hard_negatives(emb_ds, *, id_col: str = "vec_id",
@@ -940,9 +901,14 @@ def hard_negatives(emb_ds, *, id_col: str = "vec_id",
     Oversized corpora are rejected rather than silently degrading."""
     import ray
 
-    refs = emb_ds.select_columns([id_col, emb_col, label_col]) \
-        .materialize().to_arrow_refs()
-    tabs = [x for x in ray.get(refs) if x.num_rows]
+    corpus = emb_ds.select_columns([id_col, emb_col, label_col]).materialize()
+    n = corpus.count()  # block metadata: nothing is fetched yet
+    if n > 20_000:
+        raise ValueError(
+            f"hard_negatives: {n} vectors — the broadcast-corpus "
+            "design is for corpora <= 20000; mine within banded-LSH "
+            "buckets (emb_near_dups shape) beyond that")
+    tabs = [x for x in ray.get(corpus.to_arrow_refs()) if x.num_rows]
     if not tabs:  # empty corpus: empty result, not a crash
         import ray.data as rd
         return rd.from_arrow(pa.table({
@@ -951,12 +917,6 @@ def hard_negatives(emb_ds, *, id_col: str = "vec_id",
             "sim": pa.array([], pa.float64())}))
     t = pa.concat_tables(tabs)
     ids = np.asarray(t[id_col].to_numpy(zero_copy_only=False), np.int64)
-    if len(ids) > 20_000:  # BEFORE building the matrix — the guard is
-        # pointless if the driver already concatenated + normalized it
-        raise ValueError(
-            f"hard_negatives: {len(ids)} vectors — the broadcast-corpus "
-            "design is for corpora <= 20000; mine within banded-LSH "
-            "buckets (emb_near_dups shape) beyond that")
     labs = np.asarray(t[label_col].to_numpy(zero_copy_only=False),
                       np.int64)
     M = _normalize(_emb_matrix(t, emb_col))

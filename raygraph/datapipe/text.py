@@ -18,6 +18,8 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from raygraph.kernels import _cogroup, _join_sides, _keyed_cols, scan_vector
+
 # tiny per-language stopword profiles for the n-gram/stopword heuristic
 _PROFILES = {
     "en": {"the", "and", "of", "to", "a", "in", "is", "that", "it", "for", "was", "with"},
@@ -368,11 +370,9 @@ def pack_sequences(docs_ds, *, budget: int, text_col: str = "text",
     prefix scan (``kernels.scan_vector``: range-bucketed, per-bucket
     local accumulate, B-row exclusive carries on the driver — nothing
     O(n) driver-side). Start positions need (n, cum) per doc, so the two
-    vocab-bounded (doc, int) vectors meet in ONE hash-bucketed cogroup —
-    both sides bucket by the same ``mix64(doc)`` so a pair never crosses
-    buckets; the chunk arithmetic is then elementwise."""
-    from raygraph.kernels import scan_vector
-    from raygraph.util import mix64
+    vocab-bounded (doc, int) vectors meet in ONE
+    :func:`raygraph.kernels._cogroup` keyed on the doc; the chunk
+    arithmetic is then elementwise."""
 
     def counts(t: pa.Table) -> pa.Table:
         n = _count_re(pc.fill_null(t[text_col], ""), r"\S+")
@@ -383,31 +383,18 @@ def pack_sequences(docs_ds, *, budget: int, text_col: str = "text",
     nvec = docs_ds.map_batches(counts, batch_format="pyarrow")
     cvec = scan_vector(nvec, "plus")
 
-    def tag(side: int):
-        def fn(t: pa.Table) -> pa.Table:
-            v = np.asarray(t["v"].to_numpy(zero_copy_only=False), np.uint64)
-            b = (mix64(v) % np.uint64(num_buckets)).astype(np.int32)
-            return pa.table({"b": b, "v": t["v"], "x": t["val"],
-                             "side": np.full(len(v), side, np.int8)})
-
-        return fn
-
-    u = (nvec.map_batches(tag(0), batch_format="pyarrow")
-         .union(cvec.map_batches(tag(1), batch_format="pyarrow")))
-
-    def merge(g: pd.DataFrame) -> pd.DataFrame:
-        lf = g[g["side"] == 0].sort_values("v")
-        rf = g[g["side"] == 1].sort_values("v")
-        n = lf["x"].to_numpy().astype(np.int64)
-        cum = rf["x"].to_numpy().astype(np.int64)
-        start = cum - n
-        return pd.DataFrame({
-            id_col: lf["v"].to_numpy().astype(np.int64),
+    def merge(g: dict) -> pa.Table:
+        (v,), _, (x,) = _join_sides(g, 2)
+        n, start = x[0], x[1] - x[0]  # both sides hold every doc
+        return pa.table({
+            id_col: v.astype(np.int64),
             "n_tokens": n,
             "seq_id": start // int(budget),
             "seq_offset": start % int(budget)})
 
-    return u.groupby("b").map_groups(merge, batch_format="pandas")
+    cols = _keyed_cols("v", "val", np.int64)
+    return _cogroup([(nvec, cols), (cvec, cols)], merge,
+                    num_buckets=num_buckets)
 
 
 def chunk_documents(docs_ds, *, window: int = 128, stride: int = 96,
@@ -682,42 +669,31 @@ def lm_bigram_score(docs_ds, *, text_col: str = "text",
 
     _NB = 32
 
-    def count_partial(t: pa.Table) -> pa.Table:
+    def count_partial(t: pa.Table) -> dict:
         offs, h = _doc_tokens(t)
         _, g, pre = _pair_arrays(offs, h)
         out_k, out_c, out_kind = [], [], []
         for kind, arr in ((0, g), (1, pre)):
-            if len(arr):
-                u, c = np.unique(arr, return_counts=True)
-                out_k.append(u)
-                out_c.append(c.astype(np.int64))
-                out_kind.append(np.full(len(u), kind, np.int8))
-        if not out_k:
-            return pa.table({"bucket": pa.array([], pa.int32()),
-                             "kind": pa.array([], pa.int8()),
-                             "key": pa.array([], pa.uint64()),
-                             "cnt": pa.array([], pa.int64())})
-        kk = np.concatenate(out_k)
-        # bucketed exchange, NOT Ray's native groupby: mix64 keys are
-        # full-range uint64 and round-trip through Python there (see
-        # kernels.salted_aggregate)
-        bk = (mix64(kk) % np.uint64(_NB)).astype(np.int32)
-        return pa.table({"bucket": bk, "kind": np.concatenate(out_kind),
-                         "key": kk, "cnt": np.concatenate(out_c)})
+            u, c = np.unique(arr, return_counts=True)
+            out_k.append(u)
+            out_c.append(c.astype(np.int64))
+            out_kind.append(np.full(len(u), kind, np.int8))
+        return {"kind": np.concatenate(out_kind), "key": np.concatenate(out_k),
+                "cnt": np.concatenate(out_c)}
 
-    def merge(gt: pa.Table) -> pa.Table:
-        kd = np.asarray(gt["kind"].to_numpy(zero_copy_only=False))
-        kk = np.asarray(gt["key"].to_numpy(zero_copy_only=False), np.uint64)
-        cc = np.asarray(gt["cnt"].to_numpy(zero_copy_only=False), np.int64)
-        order = np.lexsort((kk, kd))
-        kd, kk, cc = kd[order], kk[order], cc[order]
+    def merge(g: dict) -> pa.Table:
+        order = np.lexsort((g["key"], g["kind"]))
+        kd, kk, cc = g["kind"][order], g["key"][order], g["cnt"][order]
         starts = np.flatnonzero(np.r_[True, (kd[1:] != kd[:-1])
                                       | (kk[1:] != kk[:-1])])
         return pa.table({"kind": kd[starts], "key": kk[starts],
                          "cnt": np.add.reduceat(cc, starts)})
 
-    counts = (docs_ds.map_batches(count_partial, batch_format="pyarrow")
-              .groupby("bucket").map_groups(merge, batch_format="pyarrow"))
+    # a co-group, NOT Ray's native groupby: mix64 keys are full-range
+    # uint64 and round-trip through Python there (see
+    # kernels.salted_aggregate)
+    counts = _cogroup([(docs_ds, count_partial)], merge, key="key",
+                      num_buckets=_NB)
     tbl = pa.concat_tables(
         (b for b in counts.iter_batches(batch_size=None,
                                         batch_format="pyarrow")),

@@ -3,10 +3,12 @@
 Ray Data has no event-time windowing; the stream-shaped semantics are
 rebuilt batch-first: window assignment is a vectorized column computation
 (tumbling = one window per row, sliding = flat-map to every covering
-window), the aggregate is a grouped reduce on (key, window); as-of joins
-sort both sides inside co-grouped key buckets and run ``merge_asof``.
-Ordering assumption: rows of one key bucket fit one group (documented
-partitioning assumption for the merge_asof path).
+window), the aggregate is a grouped reduce on (key, window). The per-key
+stream ops (range join, sessions, funnel, cohorts, transitions) are one
+:func:`raygraph.kernels._cogroup` each; as-of joins sort both sides
+inside co-grouped key buckets and run ``merge_asof``. Ordering
+assumption: rows of one key bucket fit one group (documented
+partitioning assumption for every per-key op).
 """
 
 from __future__ import annotations
@@ -14,6 +16,15 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+
+from raygraph.kernels import _cogroup, _col
+from raygraph.util import part_of
+
+
+def _ts_us(t: pa.Table, col: str) -> np.ndarray:
+    """A timestamp column as integer epoch microseconds."""
+    return np.asarray(t[col].cast(pa.timestamp("us")).to_numpy(
+        zero_copy_only=False)).astype("datetime64[us]").astype(np.int64)
 
 
 def _epoch_seconds(col) -> np.ndarray:
@@ -80,15 +91,13 @@ def asof_join(left_ds, right_ds, *, key: str, ts_col: str = "ts",
 
     def tag(side: int):
         def fn(t: pa.Table) -> pa.Table:
-            from raygraph.util import mix64
-
-            keys = np.asarray(t[key].to_numpy(zero_copy_only=False), np.int64)
+            keys = _col(t, key, np.int64)
             # mixed bucketing: raw `key % B` lands sequential user-ids on few
             # buckets (VERDICT r1 'What's wrong' #9). One key's rows must
             # still co-locate (merge_asof needs the full right history for
             # the key), so a single pathological hot key bounds a bucket —
             # documented limit; salt-by-time-range would trade correctness.
-            bk = (mix64(keys.astype(np.uint64)) % np.uint64(num_buckets)).astype(np.int32)
+            bk = part_of(keys, num_buckets)
             return t.append_column(
                 "_bucket", pa.array(bk)
             ).append_column("_side", pa.array(np.full(len(keys), side, np.int8)))
@@ -162,6 +171,8 @@ def asof_join(left_ds, right_ds, *, key: str, ts_col: str = "ts",
                             suffixes=("", suffix))
         return out.drop(columns=["_bucket"], errors="ignore")
 
+    # not a kernels._cogroup: the sides carry arbitrary user columns
+    # (nullable ints, strings) that merge_asof takes as pandas, not numpy
     return lt.union(rt).groupby("_bucket").map_groups(join, batch_format="pandas")
 
 
@@ -174,75 +185,48 @@ def range_join_agg(left_ds, right_ds, *, key: str, ts_col: str = "ts",
     ``right.ts ∈ [left.ts − before, left.ts + after]``. Inner semantics —
     lefts with zero matches are dropped (the SQL inner-join shape).
 
-    Scale shape (stream-processing interval join): ONE shuffle keyed by
-    ``hash(key, time_bucket) % B`` where the time-bucket width is
-    ``max(before + after, 1µs)`` — each LEFT row goes to exactly its own
-    bucket, each RIGHT row is replicated to its bucket ±1 (a bounded ×3,
-    independent of data size), and a (left,right) pair is evaluated only
-    where ``right.replica_tb == left.tb`` so replication can never
-    double-count. Per group the match is one int64 composite-key
-    searchsorted (key and bucket dense-encoded, µs timestamps exact) +
-    an expansion gather + segmented reduceat — no per-row Python.
-    ``exclude_self`` drops pairs with equal ``id_col`` (self-join form).
-    A pathological hot (key, window) pair bounds one group — same
-    documented limit as asof_join."""
-    from raygraph.util import mix64
-
+    Scale shape (stream-processing interval join): ONE
+    :func:`raygraph.kernels._cogroup` keyed on ``(key, time_bucket)``
+    where the time-bucket width is ``max(before + after, 1µs)`` — each
+    LEFT row goes to exactly its own bucket, each RIGHT row is replicated
+    to its bucket ±1 (a bounded ×3, independent of data size), and a
+    (left,right) pair is evaluated only where ``right.replica_tb ==
+    left.tb`` so replication can never double-count. Per group the match
+    is one int64 composite-key searchsorted (key and bucket
+    dense-encoded, µs timestamps exact) + an expansion gather + segmented
+    reduceat — no per-row Python. ``exclude_self`` drops pairs with equal
+    ``id_col`` (self-join form). A pathological hot (key, window) pair
+    bounds one group — same documented limit as asof_join."""
     us_before = np.int64(round(before * 1e6))
     us_after = np.int64(round(after * 1e6))
     width = np.int64(max(int(us_before + us_after), 1))
     if exclude_self and id_col is None:
         raise ValueError("range_join_agg: exclude_self requires id_col")
 
-    def _ts_us(t: pa.Table) -> np.ndarray:
-        return np.asarray(t[ts_col].to_numpy(zero_copy_only=False)
-                          ).astype("datetime64[us]").view(np.int64)
-
-    def tag(side: int):
-        def fn(t: pa.Table) -> pa.Table:
-            k = np.asarray(t[key].to_numpy(zero_copy_only=False),
-                           np.int64).astype(np.uint64)
-            ts = _ts_us(t)
-            tb = ts // width
-            ident = (np.asarray(t[id_col].to_numpy(zero_copy_only=False),
-                                np.int64) if id_col else
+    def cols(side: int):
+        def fn(t: pa.Table) -> dict:
+            k = _col(t, key, np.int64).astype(np.uint64)
+            ts = _col(t, ts_col).astype("datetime64[us]").view(np.int64)
+            ident = (_col(t, id_col, np.int64) if id_col else
                      np.zeros(len(ts), np.int64))
-            val = np.asarray(t[val_col].to_numpy(zero_copy_only=False),
-                             np.float64)
-            if side == 0:
-                reps = [tb]
-            else:  # right: replicate to tb-1, tb, tb+1 (|Δtb| <= 1)
-                reps = [tb - 1, tb, tb + 1]
-            parts = []
-            for rtb in reps:
-                bk = ((mix64(k) ^ mix64(rtb.astype(np.uint64)))
-                      % np.uint64(num_buckets)).astype(np.int32)
-                parts.append(pa.table({
-                    "bucket": bk, "k": k, "tb": rtb.astype(np.int64),
-                    "ts": ts, "ident": ident, "val": val,
-                    "side": np.full(len(ts), side, np.int8)}))
-            return pa.concat_tables(parts)
+            val = _col(t, val_col, np.float64)
+            tb = ts // width
+            # right: replicate to tb-1, tb, tb+1 (|Δtb| <= 1)
+            reps = [tb] if side == 0 else [tb - 1, tb, tb + 1]
+            r = len(reps)
+            return {"k": np.tile(k, r), "tb": np.concatenate(reps),
+                    "ts": np.tile(ts, r), "ident": np.tile(ident, r),
+                    "val": np.tile(val, r)}
 
         return fn
-
-    from raygraph.kernels import _ds
-
-    u = _ds(left_ds).map_batches(tag(0), batch_format="pyarrow").union(
-        _ds(right_ds).map_batches(tag(1), batch_format="pyarrow"))
 
     _empty = pa.table({"ident": pa.array([], pa.int64()),
                        "n_near": pa.array([], pa.int64()),
                        "sum_near": pa.array([], pa.float64())})
 
-    def join(g: pa.Table) -> pa.Table:
-        side = np.asarray(g["side"].to_numpy(zero_copy_only=False), np.int8)
-        k = np.asarray(g["k"].to_numpy(zero_copy_only=False), np.uint64)
-        tb = np.asarray(g["tb"].to_numpy(zero_copy_only=False), np.int64)
-        ts = np.asarray(g["ts"].to_numpy(zero_copy_only=False), np.int64)
-        ident = np.asarray(g["ident"].to_numpy(zero_copy_only=False),
-                           np.int64)
-        val = np.asarray(g["val"].to_numpy(zero_copy_only=False), np.float64)
-        isl = side == 0
+    def join(g: dict) -> pa.Table:
+        k, tb, ts, ident, val = g["k"], g["tb"], g["ts"], g["ident"], g["val"]
+        isl = g["side"] == 0
         if not isl.any() or isl.all():
             return _empty
         # dense-encode (k, tb) -> one int64 atom; composite with the
@@ -262,25 +246,21 @@ def range_join_agg(left_ds, right_ds, *, key: str, ts_col: str = "ts",
         hi = np.searchsorted(ckey, la * span + (lt_ + us_after - t0), "right")
         cnt = hi - lo
         tot = int(cnt.sum())
-        if tot == 0:
-            return _empty
         rep = np.repeat(np.arange(len(la)), cnt)
         offs = np.arange(tot) - np.repeat(np.cumsum(cnt) - cnt, cnt)
         ridx = np.repeat(lo, cnt) + offs
-        keep = np.ones(tot, bool)
         if exclude_self:
             keep = ri[ridx] != li[rep]
-        rep, ridx = rep[keep], ridx[keep]
-        if len(rep) == 0:
-            return _empty
-        starts = np.flatnonzero(np.r_[True, rep[1:] != rep[:-1]])
-        lsel = rep[starts]
+            rep, ridx = rep[keep], ridx[keep]
+        # rep ascends: one segment per matched left row (none when empty)
+        starts = np.flatnonzero(np.diff(rep, prepend=-1))
         return pa.table({
-            "ident": li[lsel],
+            "ident": li[rep[starts]],
             "n_near": np.diff(np.r_[starts, len(rep)]).astype(np.int64),
             "sum_near": np.add.reduceat(rv[ridx], starts)})
 
-    return u.groupby("bucket").map_groups(join, batch_format="pyarrow")
+    return _cogroup([(left_ds, cols(0)), (right_ds, cols(1))], join,
+                    key=("k", "tb"), num_buckets=num_buckets)
 
 
 def props_field_agg(events_ds, *, field: str = "k",
@@ -341,38 +321,21 @@ def sessionize(events_ds, *, key: str = "user_id", ts_col: str = "ts",
     ``(key, session_start_us, n_events, duration_us, sum_value)``
     (timestamps as integer epoch microseconds, value sum rounded to 6).
 
-    Distributed shape: ONE grouped exchange keyed on ``mix64(key)``
-    buckets co-locates each key's events; inside the group a single
+    Distributed shape: ONE :func:`raygraph.kernels._cogroup` keyed on
+    ``key`` co-locates each key's events; inside the group a single
     lexsort by (key, ts) + a vectorized gap scan numbers the sessions
     and reduceat folds the per-session aggregates — no per-event Python,
     no driver state. Same documented hot-key bound as the as-of join:
     one pathological key bounds one bucket."""
-    from raygraph.util import mix64
-
     gap_us = np.int64(gap_s) * 1_000_000
 
-    def tag(t: pa.Table) -> pa.Table:
-        keys = np.asarray(t[key].to_numpy(zero_copy_only=False), np.int64)
-        bk = (mix64(keys.astype(np.uint64))
-              % np.uint64(num_buckets)).astype(np.int32)
-        ts = np.asarray(t[ts_col].cast(pa.timestamp("us")).to_numpy(
-            zero_copy_only=False)).astype("datetime64[us]").astype(np.int64)
-        val = np.asarray(t[val_col].to_numpy(zero_copy_only=False),
-                         np.float64)
-        return pa.table({"bucket": bk, "k": keys, "tus": ts, "val": val})
+    def cols(t: pa.Table) -> dict:
+        return {"k": _col(t, key, np.int64), "tus": _ts_us(t, ts_col),
+                "val": _col(t, val_col, np.float64)}
 
-    def per_bucket(g: pa.Table) -> pa.Table:
-        k = np.asarray(g["k"].to_numpy(zero_copy_only=False), np.int64)
-        tus = np.asarray(g["tus"].to_numpy(zero_copy_only=False), np.int64)
-        val = np.asarray(g["val"].to_numpy(zero_copy_only=False), np.float64)
-        if len(k) == 0:
-            return pa.table({key: pa.array([], pa.int64()),
-                             "session_start_us": pa.array([], pa.int64()),
-                             "n_events": pa.array([], pa.int64()),
-                             "duration_us": pa.array([], pa.int64()),
-                             "sum_value": pa.array([], pa.float64())})
-        order = np.lexsort((tus, k))
-        k, tus, val = k[order], tus[order], val[order]
+    def per_bucket(g: dict) -> pa.Table:
+        order = np.lexsort((g["tus"], g["k"]))
+        k, tus, val = g["k"][order], g["tus"][order], g["val"][order]
         brk = np.r_[True, (k[1:] != k[:-1])
                     | (tus[1:] - tus[:-1] > gap_us)]
         starts = np.flatnonzero(brk)
@@ -385,9 +348,8 @@ def sessionize(events_ds, *, key: str = "user_id", ts_col: str = "ts",
             "sum_value": np.round(np.add.reduceat(val, starts), 6),
         })
 
-    return (events_ds.map_batches(tag, batch_format="pyarrow")
-            .groupby("bucket").map_groups(per_bucket,
-                                          batch_format="pyarrow"))
+    return _cogroup([(events_ds, cols)], per_bucket, key="k",
+                    num_buckets=num_buckets)
 
 
 def funnel(events_ds, *, steps=("view", "click", "purchase"),
@@ -402,16 +364,14 @@ def funnel(events_ds, *, steps=("view", "click", "purchase"),
     ``n_users`` counts keys whose events contain the ordered prefix
     steps[0..i].
 
-    Distributed shape: events are filtered to the funnel's types in the
-    tagging pass (everything else never shuffles), then ONE grouped
-    exchange on ``mix64(key)`` buckets co-locates each key's events;
-    inside a bucket one lexsort by (key, ts) + a first-qualifying scan
-    per step resolves every user, and the bucket emits a 3-row partial
-    count — the driver folds ``num_buckets`` tiny tables, never events.
-    Same documented hot-key bound as sessionize.
+    Distributed shape: events are filtered to the funnel's types before
+    the exchange (everything else never shuffles), then ONE
+    :func:`raygraph.kernels._cogroup` on ``key`` co-locates each key's
+    events; inside a bucket one lexsort by (key, ts) + a first-qualifying
+    scan per step resolves every user, and the bucket emits one partial
+    count per step — the driver folds ``num_buckets`` tiny tables, never
+    events. Same documented hot-key bound as sessionize.
     """
-    from raygraph.util import mix64
-
     steps = tuple(steps)
     if len(set(steps)) != len(steps):
         raise ValueError("funnel: steps must be distinct event types "
@@ -420,28 +380,18 @@ def funnel(events_ds, *, steps=("view", "click", "purchase"),
     NEG = np.int64(-(2**62))
     POS = np.int64(2**62)
 
-    def tag(t: pa.Table) -> pa.Table:
-        et = np.asarray(t[type_col].to_numpy(zero_copy_only=False))
+    def cols(t: pa.Table) -> dict:
+        et = _col(t, type_col)
         sidx = np.full(len(et), -1, np.int8)
         for i, s in enumerate(steps):
             sidx[et == s] = i
         keep = sidx >= 0
-        keys = np.asarray(t[key].to_numpy(zero_copy_only=False),
-                          np.int64)[keep]
-        tus = np.asarray(t[ts_col].cast(pa.timestamp("us")).to_numpy(
-            zero_copy_only=False)).astype("datetime64[us]").astype(
-            np.int64)[keep]
-        bk = (mix64(keys.astype(np.uint64))
-              % np.uint64(num_buckets)).astype(np.int32)
-        return pa.table({"bucket": bk, "k": keys, "tus": tus,
-                         "step": sidx[keep]})
+        return {"k": _col(t, key, np.int64)[keep],
+                "tus": _ts_us(t, ts_col)[keep], "step": sidx[keep]}
 
-    def per_bucket(g: pa.Table) -> pa.Table:
-        k = np.asarray(g["k"].to_numpy(zero_copy_only=False), np.int64)
-        tus = np.asarray(g["tus"].to_numpy(zero_copy_only=False), np.int64)
-        st = np.asarray(g["step"].to_numpy(zero_copy_only=False), np.int8)
-        order = np.lexsort((tus, k))
-        k, tus, st = k[order], tus[order], st[order]
+    def per_bucket(g: dict) -> pa.Table:
+        order = np.lexsort((g["tus"], g["k"]))
+        k, tus, st = g["k"][order], g["tus"][order], g["step"][order]
         uk, inv = np.unique(k, return_inverse=True)
         cur = np.full(len(uk), NEG, np.int64)
         alive = np.ones(len(uk), bool)
@@ -458,31 +408,24 @@ def funnel(events_ds, *, steps=("view", "click", "purchase"),
             alive = alive & (nxt < POS)
             cur = np.where(alive, nxt, cur)
             ns.append(int(alive.sum()))
-        return pa.table({
-            "step": np.arange(1, len(steps) + 1, dtype=np.int64),
-            "event_type": pa.array(list(steps), pa.string()),
-            "n_users": np.asarray(ns, np.int64)})
+        return pa.table({"step": np.arange(len(steps), dtype=np.int64),
+                         "n_users": np.asarray(ns, np.int64)})
 
-    parts = (events_ds.map_batches(tag, batch_format="pyarrow")
-             .groupby("bucket").map_groups(per_bucket,
-                                           batch_format="pyarrow"))
-    t = parts.to_arrow_refs()
     import ray
-    tabs = [x for x in ray.get(t) if x.num_rows]
-    if tabs:
-        import pyarrow as _pa
-        allt = _pa.concat_tables(tabs)
-        stp = np.asarray(allt["step"].to_numpy(zero_copy_only=False),
-                         np.int64)
-        n = np.asarray(allt["n_users"].to_numpy(zero_copy_only=False),
-                       np.int64)
-        out_n = [int(n[stp == i + 1].sum()) for i in range(len(steps))]
-    else:  # no events matched any step: zero counts, not a crash
-        out_n = [0] * len(steps)
+
+    parts = _cogroup([(events_ds, cols)], per_bucket, key="k",
+                     num_buckets=num_buckets)
+    # the driver folds num_buckets x len(steps) partial counts; no event
+    # matched any step -> zero counts, not a crash
+    out_n = np.zeros(len(steps), np.int64)
+    for x in ray.get(parts.to_arrow_refs()):
+        if x.num_rows:  # empty blocks may carry a null schema
+            np.add.at(out_n, _col(x, "step", np.int64),
+                      _col(x, "n_users", np.int64))
     return pa.table({
         "step": np.arange(1, len(steps) + 1, dtype=np.int64),
         "event_type": pa.array(list(steps), pa.string()),
-        "n_users": np.asarray(out_n, np.int64)})
+        "n_users": out_n})
 
 
 def cohort_retention(events_ds, *, key: str = "user_id",
@@ -495,7 +438,7 @@ def cohort_retention(events_ds, *, key: str = "user_id",
     period arithmetic is integer epoch-microseconds, so the result is
     exact.
 
-    Distributed shape: ONE bucketed exchange on ``mix64(key)``
+    Distributed shape: ONE :func:`raygraph.kernels._cogroup` on ``key``
     co-locates each user's events; inside a bucket a lexsort +
     reduceat finds each user's first event and their distinct offsets,
     and the bucket emits (cohort, week_offset, n) PARTIAL counts — the
@@ -505,27 +448,14 @@ def cohort_retention(events_ds, *, key: str = "user_id",
     Returns Dataset (cohort, week_offset, n_users): cohort is the
     period index (epoch_us // period_us) of the cohort's start.
     """
-    from raygraph.util import mix64
-
     per_us = np.int64(period_s) * 1_000_000
 
-    def tag(t: pa.Table) -> pa.Table:
-        keys = np.asarray(t[key].to_numpy(zero_copy_only=False), np.int64)
-        bk = (mix64(keys.astype(np.uint64))
-              % np.uint64(num_buckets)).astype(np.int32)
-        tus = np.asarray(t[ts_col].cast(pa.timestamp("us")).to_numpy(
-            zero_copy_only=False)).astype("datetime64[us]").astype(np.int64)
-        return pa.table({"bucket": bk, "k": keys, "tus": tus})
+    def cols(t: pa.Table) -> dict:
+        return {"k": _col(t, key, np.int64), "tus": _ts_us(t, ts_col)}
 
-    def per_bucket(g: pa.Table) -> pa.Table:
-        k = np.asarray(g["k"].to_numpy(zero_copy_only=False), np.int64)
-        tus = np.asarray(g["tus"].to_numpy(zero_copy_only=False), np.int64)
-        if len(k) == 0:
-            return pa.table({"cohort": pa.array([], pa.int64()),
-                             "week_offset": pa.array([], pa.int64()),
-                             "n": pa.array([], pa.int64())})
-        order = np.lexsort((tus, k))
-        k, tus = k[order], tus[order]
+    def per_bucket(g: dict) -> pa.Table:
+        order = np.lexsort((g["tus"], g["k"]))
+        k, tus = g["k"][order], g["tus"][order]
         first = np.r_[True, k[1:] != k[:-1]]
         t0 = np.repeat(tus[first], np.diff(np.r_[
             np.flatnonzero(first), len(k)]))
@@ -542,9 +472,8 @@ def cohort_retention(events_ds, *, key: str = "user_id",
 
     from ray.data.aggregate import Sum
 
-    parts = (events_ds.map_batches(tag, batch_format="pyarrow")
-             .groupby("bucket").map_groups(per_bucket,
-                                           batch_format="pyarrow"))
+    parts = _cogroup([(events_ds, cols)], per_bucket, key="k",
+                     num_buckets=num_buckets)
     agg = parts.groupby(["cohort", "week_offset"]).aggregate(
         Sum("n", alias_name="n_users"))
 
@@ -629,34 +558,20 @@ def event_transitions(events_ds, *, key: str = "user_id",
     deterministic order the SQL lag() oracle uses). The sequence-mining
     primitive behind session flow graphs.
 
-    Distributed shape: ONE bucketed exchange on ``mix64(key)``
+    Distributed shape: ONE :func:`raygraph.kernels._cogroup` on ``key``
     co-locates each user's events; in-bucket a lexsort by
     (key, ts, id) + one shifted comparison yields every transition,
     and the bucket emits (from, to, n) PARTIAL counts — the final
     groupby sums ≤ types² rows per bucket, never events.
     """
-    from raygraph.util import mix64
+    def cols(t: pa.Table) -> dict:
+        # the type column rides as Arrow: an empty batch keeps its type
+        return {"k": _col(t, key, np.int64), "tus": _ts_us(t, ts_col),
+                "eid": _col(t, id_col, np.int64), "et": t[type_col]}
 
-    def tag(t: pa.Table) -> pa.Table:
-        keys = np.asarray(t[key].to_numpy(zero_copy_only=False), np.int64)
-        bk = (mix64(keys.astype(np.uint64))
-              % np.uint64(num_buckets)).astype(np.int32)
-        tus = np.asarray(t[ts_col].cast(pa.timestamp("us")).to_numpy(
-            zero_copy_only=False)).astype("datetime64[us]").astype(np.int64)
-        return pa.table({"bucket": bk, "k": keys, "tus": tus,
-                         "eid": t[id_col], "et": t[type_col]})
-
-    def per_bucket(g: pa.Table) -> pa.Table:
-        k = np.asarray(g["k"].to_numpy(zero_copy_only=False), np.int64)
-        tus = np.asarray(g["tus"].to_numpy(zero_copy_only=False), np.int64)
-        eid = np.asarray(g["eid"].to_numpy(zero_copy_only=False), np.int64)
-        et = np.asarray(g["et"].to_numpy(zero_copy_only=False))
-        if len(k) == 0:
-            return pa.table({"from_type": pa.array([], pa.string()),
-                             "to_type": pa.array([], pa.string()),
-                             "n": pa.array([], pa.int64())})
-        order = np.lexsort((eid, tus, k))
-        k, et = k[order], et[order]
+    def per_bucket(g: dict) -> pa.Table:
+        order = np.lexsort((g["eid"], g["tus"], g["k"]))
+        k, et = g["k"][order], g["et"][order]
         same = k[1:] == k[:-1]
         # factorize types to int codes; combine a transition into one int
         types, codes = np.unique(et, return_inverse=True)
@@ -671,9 +586,8 @@ def event_transitions(events_ds, *, key: str = "user_id",
 
     from ray.data.aggregate import Sum
 
-    parts = (events_ds.map_batches(tag, batch_format="pyarrow")
-             .groupby("bucket").map_groups(per_bucket,
-                                           batch_format="pyarrow"))
+    parts = _cogroup([(events_ds, cols)], per_bucket, key="k",
+                     num_buckets=num_buckets)
     agg = parts.groupby(["from_type", "to_type"]).aggregate(
         Sum("n", alias_name="n"))
 

@@ -612,14 +612,16 @@ def _key_cols(key) -> tuple:
 
 
 def _cogroup(sides: list, fn, *, key="v", num_buckets: int = _DEFAULT_BUCKETS):
-    """The one hash co-group of the GraphBLAS kernels and the graph
-    algorithms: every keyed join and grouped reduce here, in
-    ``multival`` and in ``algorithms`` (cores, metrics, mis, msf, walks,
-    triangle_count_mxm) runs through it.
+    """The one hash co-group of the GraphBLAS kernels, the graph
+    algorithms and the data pipelines: every keyed join and grouped
+    reduce here, in ``multival``, in ``algorithms`` (cores, metrics, mis,
+    msf, walks, triangle_count_mxm) and in ``datapipe`` (windows, dedup,
+    text, similarity) runs through it.
 
     ``sides`` is a list of ``(dataset_or_table, cols)``, where
-    ``cols(batch) -> dict`` of numpy columns (``None`` keeps the batch's
-    own columns); every side emits the same names and dtypes. Side i is
+    ``cols(batch) -> dict`` of numpy (or Arrow) columns (``None`` keeps
+    the batch's own columns); every side emits the same names and dtypes,
+    none of them named ``bucket``. Side i is
     tagged ``side = i`` and ``bucket = util.part_of(key)`` —
     ``util.pair_part`` for a ``(src, dst)`` key — the sides are unioned in
     order, and ONE ``groupby(bucket).map_groups`` calls ``fn(g)`` per
@@ -637,6 +639,9 @@ def _cogroup(sides: list, fn, *, key="v", num_buckets: int = _DEFAULT_BUCKETS):
     def tagger(cols, side: int):
         def tag(t: pa.Table) -> pa.Table:
             c = cols(t) if cols is not None else {n: _col(t, n) for n in t.column_names}
+            if "bucket" in c:
+                raise ValueError("_cogroup: 'bucket' is its own column, "
+                                 f"not a side column ({sorted(c)})")
             k = [c[n] for n in keys]
             bucket = (part_of(k[0], num_buckets) if len(k) == 1
                       else pair_part(k[0], k[1], num_buckets))

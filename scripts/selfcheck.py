@@ -7,6 +7,7 @@ Usage: python scripts/selfcheck.py [sf_dir] [query ...]
 
 from __future__ import annotations
 
+import os
 import sys
 
 import numpy as np
@@ -36,19 +37,27 @@ def to_pandas(x) -> pd.DataFrame:
     return x.to_pandas()  # ray Dataset
 
 
+# the checkout this script belongs to: the driver imports it from here and
+# the workers get it on PYTHONPATH, so both run the same tree
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
 def main():
+    sys.path.insert(0, ROOT)
     import ray
 
     if not ray.is_initialized():
+        pypath = os.pathsep.join(
+            [ROOT] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])
         ray.init(address="local", num_cpus=8, include_dashboard=False,
-                 logging_level="ERROR")
+                 logging_level="ERROR",
+                 runtime_env={"env_vars": {"PYTHONPATH": pypath}})
     from ray.data import DataContext
 
     DataContext.get_current().enable_progress_bars = False
 
     import duckdb
 
-    sys.path.insert(0, "/root/repo")
     import __ray_entry__ as entrymod
 
     sf = sys.argv[1] if len(sys.argv) > 1 else "/root/testdata/sf0.01"

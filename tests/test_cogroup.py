@@ -1,7 +1,8 @@
 """The one hash co-group (``kernels._cogroup``): results independent of
 the bucket count, full-range uint64 ids kept as uint64 through every
-grouped reduce, and a structural guard that no kernel or graph algorithm
-hand-rolls its own bucket hash or ``map_groups`` shuffle."""
+grouped reduce, and a structural guard that no kernel, graph algorithm
+or data pipeline hand-rolls its own bucket hash or ``map_groups``
+shuffle."""
 
 import ast
 import pathlib
@@ -9,10 +10,12 @@ import pathlib
 import numpy as np
 import pyarrow as pa
 import pytest
+import ray.data as rd
 
 from raygraph import kernels as K
 from raygraph import multival as MV
 from raygraph.algorithms import cores, metrics, mis, msf, walks
+from raygraph.datapipe import dedup, similarity, text, windows
 
 ROOT = pathlib.Path(__file__).resolve().parents[1] / "raygraph"
 BIG = np.uint64(1 << 63)
@@ -51,6 +54,30 @@ def _complex(t: pa.Table, rng) -> pa.Table:
                      "im": rng.integers(-3, 4, t.num_rows).astype(np.float64)})
 
 
+def _events(rng, n=300):
+    """Events of 25 users over two days; integer-valued values, so every
+    per-bucket sum is exact."""
+    ts = (np.datetime64("2026-01-01T00:00:00", "s")
+          + rng.integers(0, 2 * 86400, n).astype("timedelta64[s]"))
+    return pa.table({
+        "user_id": rng.integers(0, 25, n).astype(np.int64),
+        "ts": pa.array(ts, pa.timestamp("us")),
+        "value": rng.integers(-9, 10, n).astype(np.float64),
+        "event_type": rng.choice(["view", "click", "purchase", "other"], n),
+        "event_id": np.arange(n, dtype=np.int64),
+    })
+
+
+def _docs(rng, n=40):
+    """Documents over a six-word vocabulary: many repeated 3-grams."""
+    words = np.array([f"w{i}" for i in range(6)])
+    return pa.table({
+        "doc_id": np.arange(n, dtype=np.int64) * 3,
+        "text": [" ".join(rng.choice(words, rng.integers(0, 20)))
+                 for _ in range(n)],
+    })
+
+
 def test_results_do_not_depend_on_bucket_count():
     rng = np.random.default_rng(11)
     a, b = _unique_edges(rng, 120), _unique_edges(rng, 120)
@@ -63,6 +90,9 @@ def test_results_do_not_depend_on_bucket_count():
     starts = rows[:5]
     two_mode = pa.table({"k": a["src"].to_numpy() % np.uint64(17),
                          "v": a["dst"].to_numpy()})
+    ev, docs = rd.from_arrow(_events(rng)), rd.from_arrow(_docs(rng))
+    pairs = pa.table({"a": rng.integers(0, 12, 200), "b": rng.integers(0, 12, 200),
+                      "v": rng.integers(-9, 10, 200).astype(np.float64)})
     ops = {
         "ewise_add": lambda nb: K.ewise_add(va, vb, num_buckets=nb),
         "merge": lambda nb: K.merge(va, vb, mask=vm, accum="plus",
@@ -98,6 +128,22 @@ def test_results_do_not_depend_on_bucket_count():
             pa.concat_tables([a, b]), num_buckets=nb),
         "bipartite_project": lambda nb: metrics.bipartite_project(
             two_mode, key_col="k", val_col="v", num_buckets=nb),
+        # data pipelines over the same co-group
+        "sessionize": lambda nb: windows.sessionize(ev, num_buckets=nb),
+        "funnel": lambda nb: windows.funnel(ev, num_buckets=nb),
+        "cohort_retention": lambda nb: windows.cohort_retention(
+            ev, period_s=21600, num_buckets=nb),
+        "event_transitions": lambda nb: windows.event_transitions(
+            ev, num_buckets=nb),
+        "range_join_agg": lambda nb: windows.range_join_agg(
+            ev, ev, key="user_id", id_col="event_id", before=3600,
+            after=3600, exclude_self=True, num_buckets=nb),
+        "repeated_ngrams": lambda nb: dedup.repeated_ngrams(
+            docs, n=3, num_buckets=nb),
+        "distinct_pairs": lambda nb: dedup.distinct_pairs(
+            pairs, val_col="v", num_buckets=nb),
+        "pack_sequences": lambda nb: text.pack_sequences(
+            docs, budget=16, num_buckets=nb),
     }
     for name, op in ops.items():
         want = _canon(op(64))
@@ -177,6 +223,12 @@ def _is_bucket_hash(n):
             and getattr(n.left.func, "id", getattr(n.left.func, "attr", None)) == "mix64")
 
 
+def _is_bucket_column(n):
+    """A string literal naming a hand-rolled bucket column."""
+    return isinstance(n, ast.Constant) and n.value in (
+        "_bucket", "_side", "_pb", "coarse")
+
+
 def _is_pair_constant(n):
     return isinstance(n, ast.Constant) and n.value == 0x9E3779B97F4A7C15
 
@@ -206,6 +258,23 @@ def test_one_cogroup_and_no_hand_rolled_bucket_hashes():
         allowed = {"_K1"} if tree is algos[3] else set()
         assert {_stmt_name(st) for st in tree.body
                 if any(_is_pair_constant(n) for n in ast.walk(st))} <= allowed
+    # the data pipelines: asof_join's merge_asof takes arbitrary user
+    # columns as pandas; group_centroids and dim_stats are per-key finals
+    # over vector payloads
+    pipes = {m: ast.parse((ROOT / "datapipe" / f"{m}.py").read_text())
+             for m in ("windows", "dedup", "text", "similarity")}
+    kept = {"windows": {"asof_join"},
+            "similarity": {"group_centroids", "dim_stats"}}
+    for m, tree in pipes.items():
+        assert _outer_functions_with(tree, _is_map_groups) == kept.get(m, set()), m
+        # feature_hash's ``mix64(h) % dim`` is its output feature index
+        assert _outer_functions_with(tree, _is_bucket_hash) == (
+            {"feature_hash"} if m == "text" else set()), m
+        assert not any(_is_pair_constant(n) for n in ast.walk(tree)), m
+        assert _outer_functions_with(tree, _is_bucket_column) <= {"asof_join"}, m
+        assert not {f.name for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)} & {
+            "add_bucket", "coarse", "chunks_with_coarse", "banded_with_coarse",
+            "final_topk", "final"}, m
     # the per-module co-group and join copies, and the helpers that only
     # computed the next stage's bucket, are gone
     for mod, names in ((K, ("_tag", "_edge_cogroup", "_join_edge_sides")),

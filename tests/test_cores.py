@@ -103,7 +103,7 @@ def test_decontaminate_counts_positions():
 
 
 def test_gram_chain_matches_repeated_ngrams_key():
-    # same key function as repeated_ngrams' inline chain
+    # the repeated_ngrams key, against an independent inline chain
     toks = "a b c d e f g h i j".split()
     from raygraph.datapipe.dedup import _token_hashes
     from raygraph.util import mix64

@@ -1,6 +1,7 @@
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pytest
 import ray.data as rd
 
 from raygraph.datapipe import dedup, media, similarity, text, windows
@@ -1008,6 +1009,39 @@ def test_hard_negatives_picks_cross_label_max():
     assert got[2] == 4
     assert got[3] == 2
     assert got[4] == 1
+
+
+def test_hard_negatives_rejects_an_oversized_corpus_before_fetching_it(
+        monkeypatch):
+    """The 20,000-vector bound is read from block metadata: an oversized
+    corpus raises before any of its blocks is pulled to the driver."""
+    import ray
+
+    from raygraph.datapipe.similarity import hard_negatives
+
+    n = 20_001
+    t = pa.table({
+        "vec_id": np.arange(n, dtype=np.int64),
+        "embedding": pa.FixedSizeListArray.from_arrays(
+            pa.array(np.ones(2 * n, np.float32)), 2).cast(
+            pa.list_(pa.float32())),
+        "label": np.zeros(n, np.int32),
+    })
+    ds = rd.from_arrow(t)
+    fetched = []
+    real_get = ray.get
+
+    def get(refs, *a, **kw):
+        out = real_get(refs, *a, **kw)
+        for x in (out if isinstance(out, list) else [out]):
+            if isinstance(x, pa.Table):
+                fetched.append(x.num_rows)
+        return out
+
+    monkeypatch.setattr(ray, "get", get)
+    with pytest.raises(ValueError, match="20001 vectors"):
+        hard_negatives(ds)
+    assert fetched == []
 
 
 def test_cohort_retention_triangle():
