@@ -145,8 +145,7 @@ def run_bench() -> dict:
                                 columns=["url", "html", "lang"])
         urls = rd.read_parquet(PAGES_DIR, override_num_blocks=128,
                                columns=["url"])
-        extracted, links, verts = edges_from_pages(
-            pages, concurrency=(1, max(4, NUM_CPUS - 2)), urls_ds=urls)
+        extracted, links, verts = edges_from_pages(pages, urls_ds=urls)
         return extracted, links.materialize(), verts.materialize()
 
     extracted, links, verts = staged("extract", do_extract)

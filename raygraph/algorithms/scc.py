@@ -175,7 +175,7 @@ def condensation(g, label_slices, edges, *, count_edges: bool = True):
 
     Scale shape: the label vector is O(V) ≪ O(E) — shipped ONCE via
     ``ray.put`` (same broadcast regime as the metrics degree lookups,
-    bounded like graph.build's GRAFT_BROADCAST_VERTS_MAX path; at
+    bounded like build_graph's broadcast path, graph.BROADCAST_VERTS_MAX; at
     extreme V swap for a bucketed label join, same call shape). Each
     edge batch resolves both endpoints with two zero-copy searchsorted
     lookups and locally combines duplicate component pairs, so the one

@@ -1,7 +1,7 @@
-"""HTML -> (text, outlinks) extraction: stateful parser actor pool.
+"""HTML -> (text, outlinks) extraction as stateless ``map_batches`` tasks.
 
-The parse stage is a callable CLASS passed to ``map_batches`` so the
-compiled patterns are built once per actor (``__init__``), not once per
+The parser is a callable class whose compiled patterns are built once per
+worker process (``_extract_task``'s module-level singleton), not once per
 batch — the Ray analog of the reference compiling UDF kernels once via
 numba (reference graphblas/core/operator/unary.py:275,312; SURVEY.md §7.2).
 
@@ -23,10 +23,10 @@ from raygraph.schema import EXTRACTED
 
 
 class HtmlExtractor:
-    """Actor-pool batch parser: pages batch -> (url, extracted_text, outlinks, lang)."""
+    """Batch parser: pages batch -> (url, extracted_text, outlinks, lang)."""
 
     def __init__(self):
-        # One compiled scanner per actor: matches <p>...</p> or <a href="...">...</a>.
+        # One compiled scanner per parser: matches <p>...</p> or <a href="...">...</a>.
         # The tag name is captured so findall() tuples are unambiguous even
         # when a participating group is the empty string (<p></p> vs
         # <a href=""></a>): tag == 'p' iff the first alternative matched.
@@ -80,30 +80,19 @@ def _extract_task(batch: pa.Table) -> pa.Table:
     return _PROC_PARSER[0](batch)
 
 
-def extract_pages(pages_ds, concurrency=(1, 8), batch_size: int = 1024,
-                  use_actors: bool = False):
+def extract_pages(pages_ds, batch_size: int = 1024):
     """pages Dataset -> extracted Dataset (url, extracted_text, outlinks, lang).
 
     ``batch_size`` is kept modest because each row carries an html blob;
     blocks stay well under the object-store block target (SURVEY.md §4
     "Memory pressure" row).
 
-    Two execution shapes for the stateful parse:
-    - ``use_actors=True``: a classic actor pool (``HtmlExtractor`` class,
-      setup in ``__init__``) — right when per-actor state is heavy
-      (models, large tables; see datapipe.media).
-    - default: stateless tasks on the long-lived Ray workers with a
-      per-process parser singleton — identical state amortization for a
-      lightweight compiled-regex parser, none of the pool spin-up latency
-      (measured 3.7x faster on a warm 32-cpu cluster).
+    The parse runs as stateless tasks on the long-lived Ray workers with a
+    per-process parser singleton: the compiled-regex parser is built once
+    per worker, as an actor pool would build it once per actor, without
+    the pool's spin-up latency (measured 3.7x faster than an actor pool
+    on a warm 32-cpu cluster) or its reserved CPUs.
     """
-    if use_actors:
-        return pages_ds.map_batches(
-            HtmlExtractor,
-            batch_format="pyarrow",
-            batch_size=batch_size,
-            concurrency=concurrency,
-        )
     return pages_ds.map_batches(
         _extract_task, batch_format="pyarrow", batch_size=batch_size
     )

@@ -357,7 +357,7 @@ def q_doc_analysis(sf_dir):
 
     docs = _rd().read_parquet(f"{sf_dir}/documents.parquet",
                               columns=["doc_id", "text"])
-    return K.to_table(doc_features(docs, concurrency=4), sort_by="doc_id")
+    return K.to_table(doc_features(docs), sort_by="doc_id")
 
 
 def q_doc_profile(sf_dir):
@@ -368,7 +368,7 @@ def q_doc_profile(sf_dir):
     from raygraph.datapipe.text import analyze_documents
 
     docs = _rd().read_parquet(f"{sf_dir}/documents.parquet")
-    out = analyze_documents(docs, concurrency=4)
+    out = analyze_documents(docs)
     t = K.to_table(out, sort_by=None).select(
         ["doc_id", "n_tokens", "n_ws_tokens", "pred_lang", "quality", "fingerprint"]
     )
@@ -472,7 +472,7 @@ def q_doc_quality(sf_dir):
     from raygraph.datapipe.text import analyze_documents
 
     docs = _rd().read_parquet(f"{sf_dir}/documents.parquet")
-    out = analyze_documents(docs, concurrency=4)
+    out = analyze_documents(docs)
     t = K.to_table(out, sort_by=None).select(
         ["doc_id", "pred_lang", "punct_ratio", "stopword_ratio", "quality"])
     for c in ("punct_ratio", "stopword_ratio", "quality"):
@@ -2920,7 +2920,7 @@ def q_doc_lang_confusion(sf_dir):
     from raygraph.datapipe.text import analyze_documents
 
     docs = _rd().read_parquet(f"{sf_dir}/documents.parquet")
-    out = analyze_documents(docs, concurrency=4)
+    out = analyze_documents(docs)
     pred = K.to_table(out, sort_by=None).select(["doc_id", "pred_lang"])
     truth = pq.read_table(f"{sf_dir}/documents.parquet",
                           columns=["doc_id", "lang"])
@@ -2954,7 +2954,7 @@ def q_doc_quality_sample(sf_dir):
     from raygraph.datapipe.text import analyze_documents
 
     docs = _rd().read_parquet(f"{sf_dir}/documents.parquet")
-    out = analyze_documents(docs, concurrency=4)
+    out = analyze_documents(docs)
 
     def pick(t: pa.Table) -> pa.Table:
         q = np.round(np.asarray(t["quality"].to_numpy(

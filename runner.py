@@ -54,8 +54,7 @@ def cmd_run(args):
     t0 = time.perf_counter()
     pages = rd.read_parquet(args.pages)
     urls = rd.read_parquet(args.pages, columns=["url"])
-    extracted, links, verts = edges_from_pages(
-        pages, concurrency=(1, args.extract_actors), urls_ds=urls)
+    extracted, links, verts = edges_from_pages(pages, urls_ds=urls)
     sym = args.algo in ("cc", "lpa", "triangles")
     g = build_graph(
         links,
@@ -136,7 +135,6 @@ def main(argv=None):
     pr.add_argument("--tol", type=float, default=1e-6)
     pr.add_argument("--itermax", type=int, default=100)
     pr.add_argument("--mode", choices=["dataset", "fused"], default="fused")
-    pr.add_argument("--extract-actors", type=int, default=8)
     pr.set_defaults(fn=cmd_run)
 
     args = p.parse_args(argv)

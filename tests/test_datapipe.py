@@ -17,13 +17,60 @@ def _docs():
 
 
 def test_token_counter_and_quality():
-    out = text.analyze_documents(_docs(), concurrency=2).to_pandas()
+    out = text.analyze_documents(_docs()).to_pandas()
     assert (out["n_tokens"] >= out["n_ws_tokens"]).all()
     assert out["quality"].between(0, 1).all()
     assert set(out["pred_lang"]) <= {"en", "de", "fr", "und"}
     # fingerprints: identical text -> identical fingerprint, deterministic
     fp1 = text.rolling_fingerprint(["hello world", "hello world", "x"])
     assert fp1[0] == fp1[1] != fp1[2]
+
+
+_ONE_CPU_ANALYZERS = """
+import sys
+root, docs_path = sys.argv[1], sys.argv[2]
+sys.path.insert(0, root)
+import pyarrow as pa
+import pyarrow.parquet as pq
+import ray
+import ray.data as rd
+
+pq.write_table(pa.table({"doc_id": list(range(64)),
+                         "text": [f"the cat and the dog {i}" for i in range(64)]}),
+               docs_path)
+ray.init(address="local", num_cpus=1, include_dashboard=False,
+         logging_level="ERROR", runtime_env={"env_vars": {"PYTHONPATH": root}})
+rd.DataContext.get_current().enable_progress_bars = False
+from raygraph.datapipe import text
+
+docs = rd.read_parquet(docs_path)
+assert len(text.analyze_documents(docs).to_pandas()) == 64
+assert len(text.doc_features(docs).to_pandas()) == 64
+ray.shutdown()
+"""
+
+
+def test_text_analyzers_finish_on_one_cpu(tmp_path):
+    # an actor pool's first actor would hold the only CPU while the read
+    # task feeding it waits for one; plain tasks share it
+    import os
+    import signal
+    import subprocess
+    import sys
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    p = subprocess.Popen(
+        [sys.executable, "-c", _ONE_CPU_ANALYZERS, root,
+         str(tmp_path / "docs.parquet")],
+        cwd=str(tmp_path), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        text=True, start_new_session=True)
+    try:
+        _, err = p.communicate(timeout=120)
+    except subprocess.TimeoutExpired:
+        os.killpg(p.pid, signal.SIGKILL)  # the child's Ray processes too
+        p.communicate()
+        pytest.fail("text analyzers made no progress on 1 CPU in 120 s")
+    assert p.returncode == 0, err[-2000:]
 
 
 # ------------------------------------------------------------------ dedup ----

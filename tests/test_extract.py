@@ -28,7 +28,7 @@ def test_extract_byte_identical_text():
 def test_extract_dataset_anti_join_empty():
     pages = pages_table(120, pages_per_site=30, seed=7)
     ds = rd.from_arrow(pages)
-    out = extract_pages(ds, concurrency=2, batch_size=32)
+    out = extract_pages(ds, batch_size=32)
     tbl = pa.concat_tables(
         [b for b in out.iter_batches(batch_format="pyarrow", batch_size=None)]
     )
@@ -57,7 +57,7 @@ def test_outlinks_and_hubs():
 def test_links_table_hashes():
     pages = pages_table(60, pages_per_site=30, seed=42)
     ds = rd.from_arrow(pages)
-    links = links_table(extract_pages(ds, concurrency=1, batch_size=64))
+    links = links_table(extract_pages(ds, batch_size=64))
     tbl = links.take_all()
     n_links = sum(len(r) for r in HtmlExtractor()(pages)["outlinks"].to_pylist())
     assert len(tbl) == n_links

@@ -29,6 +29,21 @@ def _graph_to_dense(g):
     return fx.dense_of(rows, cols, vals, n)
 
 
+def _block_rows(g):
+    """{part: {CSR column: numpy array}} of every block row."""
+    return dict(g.iter_block_rows())
+
+
+def _assert_same_blocks(a, b):
+    ra, rb = _block_rows(a), _block_rows(b)
+    assert sorted(ra) == sorted(rb)
+    for p in ra:
+        assert sorted(ra[p]) == sorted(rb[p])
+        for c in ra[p]:
+            x, y = np.asarray(ra[p][c]), np.asarray(rb[p][c])
+            assert x.dtype == y.dtype and np.array_equal(x, y), (p, c, x, y)
+
+
 def test_build_matches_scipy_7x7():
     edges = rd.from_arrow(fx.edge_table(fx.A7_ROWS, fx.A7_COLS, fx.A7_VALS))
     verts = rd.from_arrow(fx.vertex_table(7))
@@ -86,15 +101,16 @@ def test_state_round_trip():
 
 def test_two_stage_build_matches_broadcast_path(monkeypatch):
     # force the scale (two-stage routing) path and compare against fast path
+    from raygraph import graph
+
     edges = rd.from_arrow(fx.edge_table(fx.A7_ROWS, fx.A7_COLS, fx.A7_VALS))
     verts = rd.from_arrow(fx.vertex_table(7))
-    monkeypatch.setenv("GRAFT_BROADCAST_VERTS_MAX", "0")
-    g_big = build_graph(edges, vertices_ds=verts, num_parts=4)
-    monkeypatch.delenv("GRAFT_BROADCAST_VERTS_MAX")
     g_fast = build_graph(edges, vertices_ds=verts, num_parts=4)
+    monkeypatch.setattr(graph, "BROADCAST_VERTS_MAX", 0)
+    g_big = build_graph(edges, vertices_ds=verts, num_parts=4)
     assert g_big.nnz == g_fast.nnz == 12
-    assert np.array_equal(_graph_to_dense(g_big), _graph_to_dense(g_fast))
     assert np.array_equal(_graph_to_dense(g_big), fx.a7_dense())
+    _assert_same_blocks(g_big, g_fast)
 
 
 def test_symmetrize_graph_matches_full_rebuild():
@@ -116,6 +132,9 @@ def test_symmetrize_graph_matches_full_rebuild():
     assert gs_fast.n_vertices == gs_full.n_vertices
     m_fast, m_full = _graph_to_dense(gs_fast), _graph_to_dense(gs_full)
     assert np.array_equal(m_fast, m_full)
+    # one emitter: the two routes give bit-equal block rows, not only the
+    # same matrix
+    _assert_same_blocks(gs_fast, gs_full)
     assert np.array_equal(m_fast, m_fast.T)
     assert m_fast.diagonal().sum() == 0
     # degree slices agree too
@@ -137,14 +156,13 @@ def test_symmetrize_graph_weighted_plus():
     assert m[0, 2] == 1.0 and m[2, 0] == 1.0
 
 
-def test_build_graph_int64_weights_exact():
+def test_build_graph_int64_weights_exact(monkeypatch):
     """Edge dtype rides the CSR build exactly (VERDICT r4 Missing #1):
     int64 weights above 2^53 survive both build paths and dup_op."""
-    import os
-
     import pyarrow as pa
     import ray.data as rd
 
+    from raygraph import graph
     from raygraph.graph import build_graph
 
     big = np.int64(2**54)
@@ -152,27 +170,22 @@ def test_build_graph_int64_weights_exact():
                   "dst": np.array([5, 5, 6, 7], np.uint64),
                   "w": np.array([big + 3, big + 5, big + 7, big + 9],
                                 np.int64)})
-    for env in ({}, {"GRAFT_BROADCAST_VERTS_MAX": "0"}):
-        old = {k: os.environ.get(k) for k in env}
-        os.environ.update(env)
-        try:
-            g = build_graph(rd.from_arrow(e), num_parts=4, dup_op="plus")
-            got = {}
-            for p, row in g.iter_block_rows(["ids", "src_pos", "indptr",
-                                             "dst_part", "dst_pos", "w"]):
-                ids = np.asarray(row["ids"], np.uint64)
-                w = np.asarray(row["w"])
-                assert w.dtype == np.int64, w.dtype
-                sp = np.asarray(row["src_pos"], np.int64)
-                ip = np.asarray(row["indptr"], np.int64)
-                for r, s in enumerate(sp):
-                    for k in range(ip[r], ip[r + 1]):
-                        got.setdefault(int(ids[s]), []).append(int(w[k]))
-            assert sorted(got[1]) == [int(2 * big + 8)]
-            assert sorted(got[2]) == [int(big + 7), int(big + 9)]
-        finally:
-            for k, v in old.items():
-                os.environ.pop(k, None) if v is None else os.environ.__setitem__(k, v)
+    for bc_max in (graph.BROADCAST_VERTS_MAX, 0):
+        monkeypatch.setattr(graph, "BROADCAST_VERTS_MAX", bc_max)
+        g = build_graph(rd.from_arrow(e), num_parts=4, dup_op="plus")
+        got = {}
+        for p, row in g.iter_block_rows(["ids", "src_pos", "indptr",
+                                         "dst_part", "dst_pos", "w"]):
+            ids = np.asarray(row["ids"], np.uint64)
+            w = np.asarray(row["w"])
+            assert w.dtype == np.int64, w.dtype
+            sp = np.asarray(row["src_pos"], np.int64)
+            ip = np.asarray(row["indptr"], np.int64)
+            for r, s in enumerate(sp):
+                for k in range(ip[r], ip[r + 1]):
+                    got.setdefault(int(ids[s]), []).append(int(w[k]))
+        assert sorted(got[1]) == [int(2 * big + 8)]
+        assert sorted(got[2]) == [int(big + 7), int(big + 9)]
 
 
 def test_write_vertex_parquet_resume_skips_finished(tmp_path):
@@ -202,3 +215,58 @@ def test_write_vertex_parquet_resume_skips_finished(tmp_path):
     total = sum(pq.read_table(os.path.join(out, f)).num_rows
                 for f in sorted(os.listdir(out)))
     assert total == g.n_vertices
+
+
+def test_write_vertex_parquet_resume_refuses_another_graphs_files(tmp_path):
+    import pytest
+
+    from raygraph.graph import build_graph
+
+    def scores(seed):
+        A = (fx.random_graph(20, 0.2, seed=seed) != 0).astype(np.float64)
+        g = build_graph(rd.from_arrow(fx.dense_to_edge_table(A)),
+                        num_parts=4, dup_op="first", binarize=True)
+        return g, g.state(1.0)
+
+    (ga, xa), (gb, xb) = scores(7), scores(8)
+    assert ga.num_parts == gb.num_parts and ga.nnz != gb.nnz
+    out = str(tmp_path / "scores")
+    assert ga.write_vertex_parquet(xa, out, "score") >= 1
+    # same P, different edges: resuming must not keep graph A's files
+    with pytest.raises(ValueError, match=r"part_p\d{5}\.parquet"):
+        gb.write_vertex_parquet(xb, out, "score")
+    # ... nor another column's
+    with pytest.raises(ValueError, match="another graph, column"):
+        ga.write_vertex_parquet(xa, out, "rank")
+    # resume=False rewrites them for B; B's resume then skips them
+    assert gb.write_vertex_parquet(xb, out, "score", resume=False) >= 1
+    assert gb.write_vertex_parquet(xb, out, "score") == 0
+
+
+def test_one_csr_block_emitter():
+    """graph.py writes CSR block rows in ONE place, ``_emit_block``; the
+    build route is chosen by the module constant, not the environment."""
+    import ast
+    import pathlib
+
+    src = (pathlib.Path(__file__).resolve().parents[1]
+           / "raygraph" / "graph.py").read_text()
+    tree = ast.parse(src)
+    for gone in ("_emit_block_table", "_emit_block_pos", "_TAG_SCHEMA",
+                 "check_src", "os.environ"):
+        assert gone not in src, gone
+
+    def builds_csr_row(n):
+        # a CSR_BLOCK literal ({"indptr": ...}) or a list-array column
+        return ((isinstance(n, ast.Dict) and any(
+            isinstance(k, ast.Constant) and k.value == "indptr" for k in n.keys))
+            or (isinstance(n, ast.Attribute) and n.attr == "LargeListArray"))
+
+    owners = {f.name for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)
+              and any(builds_csr_row(n) for n in ast.walk(f))}
+    assert owners == {"_emit_block", "_list"}, owners
+    emit = next(f for f in tree.body
+                if isinstance(f, ast.FunctionDef) and f.name == "_emit_block")
+    assert [a.arg for a in emit.args.args] == [
+        "part", "ids", "sp", "dp", "dpos", "w", "dup_op", "binarize",
+        "drop_self", "wdt"]
