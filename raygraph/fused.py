@@ -37,6 +37,11 @@ Every fused algorithm is built from the same four pieces:
                     ``signal <= tol``, rolls back to the converged step and
                     calls the checkpoint hook after a consistent sync
 
+One-shot passes use ``wave`` without ``drive``: the vertex-parquet and
+checkpoint writers (one writer task per group) and
+``algorithms.triangles.triangle_count`` (three waves over the CSR block
+refs: read ids/degrees, orient and send wedges, close).
+
 P stays the logical partitioning — vertex placement, hashes, checkpoint
 layout and output files — while W only sets the task and packet fan-out;
 results are bit-identical for every W (tested). All edge->partition

@@ -141,6 +141,7 @@ class Graph:
     nnz: int
     n_vertices: int
     _ids_cache: list | None = field(default=None, repr=False)
+    _deg_cache: list | None = field(default=None, repr=False)
 
     # ---- driver-side helpers (sandbox-scale; at cluster scale these stay
     # ---- as per-partition object refs and never centralize — see engine.py)
@@ -170,10 +171,14 @@ class Graph:
         return self._ids_cache
 
     def deg_slices(self) -> list[np.ndarray]:
-        out = [np.zeros(s, np.float64) for s in self.sizes]
-        for p, row in self.iter_block_rows(["deg"]):
-            out[p] = np.asarray(row["deg"], dtype=np.float64)
-        return out
+        """Per-partition arrays of each vertex's summed out-edge weight —
+        its out-degree in a binarized graph (cached)."""
+        if self._deg_cache is None:
+            out = [np.zeros(s, np.float64) for s in self.sizes]
+            for p, row in self.iter_block_rows(["deg"]):
+                out[p] = np.asarray(row["deg"], dtype=np.float64)
+            self._deg_cache = out
+        return self._deg_cache
 
     def state(self, fill, dtype=np.float64) -> list[np.ndarray]:
         """Dense per-partition state vector initialized to ``fill``."""
@@ -649,8 +654,9 @@ def symmetrize_graph(g: "Graph", *, dup_op: str = "first", binarize: bool = True
                 sp.append(np.asarray(pk[0], np.int64))
                 dp.append(np.full(len(pk[0]), p, np.int32))
                 dpos.append(np.asarray(pk[1], np.int64))
-                w.append(np.asarray(pk[2], np.float64) if len(pk) > 2
-                         else np.ones(len(pk[0]), np.float64))
+                # the block's own weight dtype: int64 weights stay exact
+                w.append(np.asarray(pk[2], w[0].dtype) if len(pk) > 2
+                         else np.ones(len(pk[0]), w[0].dtype))
         return _emit_block(q, ids, np.concatenate(sp), np.concatenate(dp),
                            np.concatenate(dpos), np.concatenate(w),
                            dup_op, binarize, drop_self)

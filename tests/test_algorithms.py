@@ -108,6 +108,41 @@ def test_triangle_mxm_generic_path_matches_csr():
         assert got == fx.triangle_oracle(A)
 
 
+def _star_and_clique() -> np.ndarray:
+    """Hub 0 joined to every other vertex, and a clique on 21..28: the
+    hub's degree puts it last in the (degree, id) orientation."""
+    A = np.zeros((30, 30))
+    A[0, 1:] = A[1:, 0] = 1.0
+    A[21:29, 21:29] = 1.0
+    np.fill_diagonal(A, 0.0)
+    return A
+
+
+def test_triangle_count_does_not_depend_on_group_count(monkeypatch):
+    """The count is the same at every partition count P and group count
+    W, and equals the dense oracle and the generic masked-mxm path."""
+    import raygraph.fused as F
+    from raygraph.algorithms.triangles import triangle_count_mxm
+
+    rand = fx.random_graph(48, 0.15, seed=5, symmetric=True)
+    rand[[3, 17], [3, 17]] = 1.0  # self-loops are ignored
+    inputs = {"random": rand, "star+clique": _star_and_clique(),
+              "self-loops": np.eye(6), "empty": np.zeros((0, 0))}
+    for name, A in inputs.items():
+        want = fx.triangle_oracle(A)
+        edges = fx.dense_to_edge_table(A)
+        assert triangle_count_mxm(rd.from_arrow(edges)) == want, name
+        for P in (1, 5, 16):
+            g = build_graph(rd.from_arrow(edges), num_parts=P, symmetrize=True,
+                            vertices_ds=rd.from_arrow(fx.vertex_table(len(A))),
+                            dup_op="first", binarize=True)
+            if not len(A):
+                assert g.block_ref_list() == [None] * P
+            for W in sorted({1, 2, 3, P}):
+                monkeypatch.setattr(F, "_n_groups", lambda parts, W=W: min(W, parts))
+                assert triangle_count(g) == want, (name, P, W)
+
+
 # ------------------------------------------------------------------ lpa ----
 
 

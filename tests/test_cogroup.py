@@ -248,9 +248,7 @@ def test_one_cogroup_and_no_hand_rolled_bucket_hashes():
              for m in ("cores", "msf", "mis", "walks", "metrics")]
     # scan_vector keeps range buckets: its carries follow index order
     assert _outer_functions_with(kernels, _is_map_groups) == {"_cogroup", "scan_vector"}
-    # triangle_count's rows arrive keyed by part from its orient pass
-    assert _outer_functions_with(triangles, _is_map_groups) == {"triangle_count"}
-    for tree in [multival, *algos]:
+    for tree in [multival, triangles, *algos]:
         assert _outer_functions_with(tree, _is_map_groups) == set()
     for tree in [kernels, multival, triangles, *algos]:
         assert not any(_is_bucket_hash(n) for n in ast.walk(tree))

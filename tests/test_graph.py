@@ -156,6 +156,40 @@ def test_symmetrize_graph_weighted_plus():
     assert m[0, 2] == 1.0 and m[2, 0] == 1.0
 
 
+def test_symmetrize_graph_keeps_int64_weights():
+    """The reversed edges keep the block's integer weight dtype: weights
+    above 2^53 come out exact and every column equals the full build's."""
+    from raygraph.graph import symmetrize_graph
+
+    big = 2**54
+    e = pa.table({"src": np.array([1, 2], np.uint64),
+                  "dst": np.array([2, 3], np.uint64),
+                  "w": np.array([big + 1, big + 3], np.int64)})
+    g = build_graph(rd.from_arrow(e), num_parts=2, dup_op="first")
+    gs = symmetrize_graph(g, dup_op="first", binarize=False, drop_self=True)
+    full = build_graph(rd.from_arrow(e), num_parts=2, dup_op="first",
+                       symmetrize=True, drop_self=True)
+    _assert_same_blocks(gs, full)
+    w = np.concatenate([r["w"] for r in _block_rows(gs).values()])
+    assert w.dtype == np.int64 and sorted(w.tolist()) == [big + 1, big + 1,
+                                                          big + 3, big + 3]
+
+
+def test_deg_slices_read_the_blocks_once(monkeypatch):
+    from raygraph.graph import Graph
+
+    e = pa.table({"src": np.array([1, 2, 2], np.uint64),
+                  "dst": np.array([2, 3, 1], np.uint64)})
+    g = build_graph(rd.from_arrow(e), num_parts=2, binarize=True)
+    scans = []
+    real = Graph.iter_block_rows
+    monkeypatch.setattr(Graph, "iter_block_rows",
+                        lambda self, *a: scans.append(a) or real(self, *a))
+    first = g.deg_slices()
+    assert g.deg_slices() is first and len(scans) == 1
+    assert sorted(np.concatenate(first).tolist()) == [0.0, 1.0, 2.0]
+
+
 def test_build_graph_int64_weights_exact(monkeypatch):
     """Edge dtype rides the CSR build exactly (VERDICT r4 Missing #1):
     int64 weights above 2^53 survive both build paths and dup_op."""

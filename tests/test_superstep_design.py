@@ -10,6 +10,8 @@ import ast
 import pathlib
 import re
 
+import pytest
+
 ROOT = pathlib.Path(__file__).resolve().parents[1] / "raygraph"
 
 
@@ -81,3 +83,44 @@ def test_pagerank_superstep_submits_one_task_per_group(monkeypatch):
     assert info["iters"] == steps and info["groups"] == W
     # the seed scatter plus one wave per superstep, each at most W tasks
     assert len(submitted) <= W * (steps + 1)
+
+
+def test_triangle_count_runs_three_waves_without_driver_slices(monkeypatch):
+    """Triangle count is three waves of group tasks over the block refs;
+    it never reads the per-partition ids or degrees on the driver."""
+    import numpy as np
+    import pyarrow as pa
+    import ray.data as rd
+
+    import raygraph.fused as F
+    from raygraph.algorithms.triangles import triangle_count
+    from raygraph.graph import Graph, build_graph
+    from raygraph.util import mix64
+
+    from tests import fixtures as fx
+
+    src = np.tile(np.arange(400, dtype=np.uint64), 2)
+    dst = mix64(src + np.repeat(np.uint64([0, 400]), 400)) % np.uint64(400)
+    A = fx.dense_of(src, dst, np.ones(len(src)), 400)
+    g = build_graph(rd.from_arrow(pa.table({"src": src, "dst": dst})),
+                    num_parts=32, symmetrize=True, binarize=True)
+    want = fx.triangle_oracle(A)
+    assert want > 0
+    W = 2
+    monkeypatch.setattr(F, "_n_groups", lambda P: min(W, P))
+    for name in ("deg_slices", "ids_slices"):
+        monkeypatch.setattr(Graph, name, lambda self, name=name: pytest.fail(name))
+    submitted = []
+
+    class Counted:
+        def __init__(self, task):
+            self.task = task
+
+        def remote(self, *args):
+            submitted.append(args)
+            return self.task.remote(*args)
+
+    real = F._task
+    monkeypatch.setattr(F, "_task", lambda *shape: Counted(real(*shape)))
+    assert triangle_count(g) == want
+    assert 0 < len(submitted) <= 3 * W
